@@ -85,8 +85,8 @@ def load_catalog(source: str | Path | None = None) -> PatternCatalog:
     ``source`` may be None (built-ins only), a ``.cg`` file, or a directory
     scanned for ``*.cg`` in sorted order.  Each entry is named by its
     ``model`` header, falling back to the filename stem.  Raises
-    ``CatalogError`` for unreadable paths, unparseable entries, duplicate
-    user names, or zero-edge patterns.
+    ``CatalogError`` for unreadable paths, entries that are not UTF-8 or
+    do not parse, duplicate user names, or zero-edge patterns.
     """
     builtins = builtin_catalog()
     if source is None:
@@ -103,7 +103,7 @@ def load_catalog(source: str | Path | None = None) -> PatternCatalog:
         try:
             document = scan_declarations(file.read_text(encoding="utf-8"))
             graph = document.to_graph()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise CatalogError(f"catalog entry {file.name!r}: {err}") from err
         except (ModelSyntaxError, InvalidNodeError) as err:
             raise CatalogError(f"catalog entry {file.name!r}: {err}") from err

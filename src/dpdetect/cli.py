@@ -199,7 +199,7 @@ def _reports_agree(ours: DetectionReport, reference: DetectionReport) -> bool:
 def cmd_detect(args: argparse.Namespace) -> int:
     try:
         model = _read_model(args.model)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         return _fail(f"cannot read model {args.model!r}: {err}")
     except ModelSyntaxError as err:
         return _fail(f"{args.model}: {err}")
@@ -264,7 +264,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         text = Path(args.model).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         return _fail(f"cannot read model {args.model!r}: {err}")
     try:
         graph = parse_model(text)

@@ -13,12 +13,23 @@ existence, and no hit at any level means absence.  Below the top level
 only fragments that are themselves weakly connected are eligible, so a
 partial occurrence is always a coherent piece of the pattern rather than
 scattered edges.
+
+Fragments are walked in canonical order (sorted ``itertools.combinations``
+of the sorted pattern edges) and sorted into typed-isomorphism classes as
+they come; only the first fragment of each class is searched against the
+system, because every other member finds exactly the same occurrences.  On
+a symmetric pattern such as a generalization star this turns ``C(m, n)``
+searches per level into one.  Each row's witness is therefore the earliest
+fragment in canonical order that reaches its system edges, together with
+that fragment's first embedding onto them in search order.  What remains
+costly on a wide star is enumerating the ``C(m, n)`` combinations and
+checking each one's connectivity and class, not the search.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -383,6 +394,37 @@ def _embeddings(
     yield from walk(0)
 
 
+def _shape(fragment: tuple[EdgeTuple, ...]) -> tuple:
+    """Cheap isomorphism invariant: the node count plus the sorted per-node
+    degree vectors, split by relation and direction.  A self-loop counts
+    as both an outgoing and an incoming edge of its node."""
+    degrees: defaultdict[str, Counter] = defaultdict(Counter)
+    for edge in fragment:
+        degrees[edge.source][edge.relation, "out"] += 1
+        degrees[edge.target][edge.relation, "in"] += 1
+    return len(degrees), tuple(sorted(tuple(sorted(d.items())) for d in degrees.values()))
+
+
+def _opens_class(
+    fragment: tuple[EdgeTuple, ...],
+    representatives: dict[tuple, list[_SystemIndex]],
+) -> bool:
+    """Whether ``fragment`` is the first of its typed-isomorphism class.
+
+    ``representatives`` maps each shape to indexes over the classes seen so
+    far.  Two fragments with the same edge count are isomorphic exactly
+    when one embeds into the other: the embedding sends the ``n`` edges
+    one-to-one onto the other's ``n`` edges, so its injective node map is
+    onto as well.  A new representative is recorded before returning True.
+    """
+    bucket = representatives.setdefault(_shape(fragment), [])
+    for index in bucket:
+        if next(_embeddings(fragment, index), None) is not None:
+            return False
+    bucket.append(_SystemIndex(frozenset(fragment)))
+    return True
+
+
 def find_matches(
     system_edges: Iterable[EdgeTuple],
     pattern_edges: Iterable[EdgeTuple],
@@ -411,8 +453,23 @@ def find_matches(
         return MatchTable(level=n)
     index = _SystemIndex(system)
     found: dict[frozenset[EdgeTuple], MatchRow] = {}
+    # Only the first fragment of each typed-isomorphism class is searched;
+    # the output is the same as searching every fragment, because:
+    # - a fragment F can hit an image key K only if F is isomorphic to K:
+    #   its n edges map one-to-one onto K's n edges, so the injective node
+    #   map is onto K's nodes;
+    # - so every fragment that hits K is in K's class, and every member of
+    #   that class hits every key of the class;
+    # - the witness for K is the earliest member of its class in canonical
+    #   order with its first embedding onto K, which is the class
+    #   representative's row built below;
+    # - isomorphic fragments have the same relation counts, so the prune
+    #   profile admits or rejects a whole class together.
+    representatives: dict[tuple, list[_SystemIndex]] = {}
     for fragment in _eligible_fragments(pattern, n):
         if profile is not None and not profile.admits(fragment):
+            continue
+        if not _opens_class(fragment, representatives):
             continue
         for mapping, alignment in _embeddings(fragment, index):
             system_images = tuple(alignment[pattern_edge] for pattern_edge in fragment)

@@ -3,12 +3,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from dpdetect import DetectionReport, MatchTable, Verdict
 from dpdetect import cli
 from dpdetect.cli import CATALOG_ENV_VAR, main
+
+SYMMETRIC = Path(__file__).parent / "fixtures" / "symmetric"
 
 COMPLETE_3 = "The design pattern completely exists in the System design with 3 times"
 PARTIAL_3 = "The design pattern partially exists in the System design with 3 times"
@@ -76,6 +79,22 @@ def test_detect_json_document(capsys, sample_system_path):
         frozenset({("c", "b", 1, 0)}),
         frozenset({("a", "c", 1, 0)}),
     }
+
+
+def test_symmetric_json_report_is_pinned(capsys):
+    # Pins the witness mapping of every row, which the oracle cannot check:
+    # a 5-leaf star and a 5-edge chain have many isomorphic fragments.
+    code, out, _ = run(
+        capsys,
+        "detect",
+        str(SYMMETRIC / "model.cg"),
+        "--catalog",
+        str(SYMMETRIC / "patterns"),
+        "--format",
+        "json",
+    )
+    assert code == 0
+    assert out.encode("utf-8") == (SYMMETRIC / "expected.json").read_bytes()
 
 
 def test_json_rows_replay_their_mapping(capsys, sample_system_path):
@@ -196,6 +215,38 @@ def test_unparseable_model_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "detect", str(bad))
     assert code == 1
     assert "line 1:" in err
+
+
+NOT_UTF8 = b"model latin\nassoc caf\xff b\n"
+
+
+def test_non_utf8_model_exits_one_on_detect(capsys, tmp_path):
+    model = tmp_path / "latin.cg"
+    model.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, "detect", str(model))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("dpdetect: error: cannot read model")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_model_exits_one_on_validate(capsys, tmp_path):
+    model = tmp_path / "latin.cg"
+    model.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, "validate", str(model))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("dpdetect: error: cannot read model")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_catalog_entry_exits_one_on_list(capsys, tmp_path):
+    (tmp_path / "latin.cg").write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, "list", "--catalog", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("dpdetect: error: catalog entry 'latin.cg'")
+    assert err.count("\n") == 1
 
 
 def test_unknown_pattern_exits_one_and_lists_names(capsys, sample_system_path):

@@ -1,6 +1,7 @@
 """Matcher semantics: alignment, level search, verdicts, pruning."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,8 +19,19 @@ from dpdetect import (
     find_matches,
     is_weakly_connected,
     make_edge,
+    oracle_detect,
 )
-from helpers import SAMPLE_SYSTEM, edges, pair_rows, random_instance, random_system, row_sets
+from dpdetect import matcher
+from helpers import (
+    RELATIONS,
+    SAMPLE_SYSTEM,
+    edges,
+    pair_rows,
+    random_instance,
+    random_system,
+    reports_agree,
+    row_sets,
+)
 
 CATALOG = builtin_catalog()
 
@@ -183,6 +195,81 @@ def test_symmetric_mappings_collapse_to_one_row():
     report = detect(system, pattern)
     assert report.verdict is Verdict.COMPLETE
     assert report.occurrences == 1
+
+
+# --- symmetric patterns ----------------------------------------------------
+
+
+def test_symmetric_star_searches_one_fragment_per_level(monkeypatch):
+    # Three gen hubs sharing the same three leaves: every hub has in-degree 3.
+    system = edges(*((f"x{i}", f"h{j}", 3) for i in range(3) for j in range(3)))
+    pattern = edges(*((f"leaf{i}", "hub", 3) for i in range(8)))
+
+    class RecordingIndex(matcher._SystemIndex):
+        def __init__(self, indexed):
+            super().__init__(indexed)
+            self.indexed = indexed
+
+    searched = Counter()
+    original = matcher._embeddings
+
+    def counting(fragment, index):
+        if index.indexed == system:
+            searched[len(fragment)] += 1
+        return original(fragment, index)
+
+    monkeypatch.setattr(matcher, "_SystemIndex", RecordingIndex)
+    monkeypatch.setattr(matcher, "_embeddings", counting)
+    report = detect(system, pattern)
+    assert report.verdict is Verdict.PARTIAL and report.level == 3
+    assert report == oracle_detect(system, pattern)
+    # Every fragment below the top level is a star, so one search per level
+    # covers all C(8, n) of them.
+    assert searched[3] == 1
+    assert all(count <= 1 for level, count in searched.items() if level < len(pattern))
+
+
+def _symmetric_shape(rng):
+    """A star (maybe of mixed relations, maybe with a self-loop on the hub)
+    or a same-direction chain, with node names shuffled so the canonical
+    fragment order varies."""
+    kind = rng.choice(("star", "mixed star", "looped star", "chain"))
+    size = rng.randint(2, 5)
+    relation = rng.choice(RELATIONS)
+    if kind == "chain":
+        specs = [(f"c{i}", f"c{i + 1}", relation) for i in range(size)]
+    else:
+        inward = rng.random() < 0.5
+        specs = []
+        for i in range(size):
+            leaf_relation = rng.choice(RELATIONS) if kind == "mixed star" else relation
+            ends = (f"leaf{i}", "hub") if inward else ("hub", f"leaf{i}")
+            specs.append((*ends, leaf_relation))
+        if kind == "looped star":
+            specs.append(("hub", "hub", 1))
+    names = sorted({node for source, target, _ in specs for node in (source, target)})
+    shuffled = [f"p{i}" for i in range(len(names))]
+    rng.shuffle(shuffled)
+    rename = dict(zip(names, shuffled))
+    return edges(*((rename[s], rename[t], r) for s, t, r in specs))
+
+
+def test_witnesses_match_oracle_on_symmetric_shapes():
+    rng = random.Random(4242)
+    partial = 0
+    for _ in range(300):
+        pattern = _symmetric_shape(rng)
+        system = random_system(rng)
+        ours, reference = detect(system, pattern), oracle_detect(system, pattern)
+        assert reports_agree(ours, reference)
+        # Both keep the earliest fragment in canonical order for each row.
+        assert [row.pattern_edges for row in ours.table.rows] == [
+            row.pattern_edges for row in reference.table.rows
+        ]
+        partial += ours.verdict is Verdict.PARTIAL
+    # Partial levels are where a symmetric shape has several isomorphic
+    # fragments competing to be a row's witness.
+    assert partial >= 100
 
 
 # --- row and table invariants ----------------------------------------------
