@@ -18,7 +18,6 @@ from .graph import (
     GraphIntegrityError,
     InvalidNodeError,
     RelationKind,
-    edge_set,
     is_weakly_connected,
     make_edge,
 )
@@ -47,7 +46,6 @@ from .matcher import (
     Verdict,
     candidate_prune,
     detect,
-    edge_compatible,
     find_matches,
 )
 from .oracle import (
@@ -67,7 +65,6 @@ __all__ = [
     "GraphIntegrityError",
     "EmptyEdgeSetError",
     "make_edge",
-    "edge_set",
     "is_weakly_connected",
     "ModelSyntaxError",
     "Declaration",
@@ -87,7 +84,6 @@ __all__ = [
     "MatchTable",
     "DetectionReport",
     "PruneProfile",
-    "edge_compatible",
     "candidate_prune",
     "find_matches",
     "detect",

@@ -71,35 +71,6 @@ class ReportDocument:
         if names != sorted(names):
             raise ValueError("results must be sorted by pattern name")
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model_name,
-            "tool_version": self.tool_version,
-            "catalog": list(self.catalog_names),
-            "results": [_result_dict(result) for result in self.results],
-        }
-
-
-def _edge_json(edge: EdgeTuple) -> list:
-    return [edge.source, edge.target, int(edge.relation), edge.self_loop]
-
-
-def _result_dict(report: DetectionReport) -> dict:
-    return {
-        "pattern": report.pattern_name,
-        "verdict": report.verdict.value,
-        "level": report.level,
-        "occurrences": report.occurrences,
-        "rows": [
-            {
-                "pattern_edges": [_edge_json(e) for e in row.pattern_edges],
-                "system_edges": [_edge_json(e) for e in row.system_edges],
-                "mapping": dict(sorted(row.mapping.items())),
-            }
-            for row in report.table.rows
-        ],
-    }
-
 
 def render_text(document: ReportDocument) -> str:
     sections = [f"model: {document.model_name or '(unnamed)'}"]
@@ -108,8 +79,70 @@ def render_text(document: ReportDocument) -> str:
     return "\n\n".join(sections) + "\n"
 
 
+_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _block(items: list[str], pad: str, opener: str, closer: str) -> str:
+    """Encoded ``items`` one per line inside brackets whose line is
+    indented by ``pad``, as ``json.dumps(indent=2)`` lays them out.
+
+    The result is built by one join, without intermediate copies, because
+    at the top level it is the whole multi-megabyte report."""
+    if not items:
+        return opener + closer
+    inner = "\n" + pad + "  "
+    pieces = ["," + inner] * (2 * len(items) + 1)
+    pieces[0] = opener + inner
+    pieces[1::2] = items
+    pieces[-1] = "\n" + pad + closer
+    return "".join(pieces)
+
+
 def render_json(document: ReportDocument) -> str:
-    return json.dumps(document.to_dict(), indent=2, ensure_ascii=False) + "\n"
+    """The report as indented JSON, byte for byte what ``json.dumps`` with
+    ``indent=2`` and ``ensure_ascii=False`` gives for the same document,
+    plus a final newline."""
+    edge_text: dict[EdgeTuple, str] = {}
+
+    def edge_list(key: str, edges: tuple[EdgeTuple, ...]) -> str:
+        items = []
+        for edge in edges:
+            text = edge_text.get(edge)
+            if text is None:
+                fields = [_string(edge.source), _string(edge.target),
+                          str(int(edge.relation)), str(edge.self_loop)]
+                text = edge_text[edge] = _block(fields, " " * 12, "[", "]")
+            items.append(text)
+        return _block(items, " " * 10, f'"{key}": [', "]")
+
+    results = []
+    for report in document.results:
+        rows = [
+            _block([
+                edge_list("pattern_edges", row.pattern_edges),
+                edge_list("system_edges", row.system_edges),
+                _block(
+                    [f"{_string(k)}: {_string(v)}" for k, v in sorted(row.mapping.items())],
+                    " " * 10, '"mapping": {', "}",
+                ),
+            ], " " * 8, "{", "}")
+            for row in report.table.rows
+        ]
+        level = "null" if report.level is None else str(report.level)
+        results.append(_block([
+            '"pattern": ' + _string(report.pattern_name),
+            '"verdict": ' + _string(report.verdict.value),
+            f'"level": {level}',
+            f'"occurrences": {report.occurrences}',
+            _block(rows, " " * 6, '"rows": [', "]"),
+        ], "    ", "{", "}"))
+    catalog = [_string(name) for name in document.catalog_names]
+    return _block([
+        '"model": ' + _string(document.model_name),
+        '"tool_version": ' + _string(document.tool_version),
+        _block(catalog, "  ", '"catalog": [', "]"),
+        _block(results, "  ", '"results": [', "]"),
+    ], "", "{", "}\n")
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -2,15 +2,17 @@
 
 A class model is a named graph whose nodes are class identifiers and whose
 edges carry one of three relationship kinds (association, dependency,
-generalization) plus a derived self-loop flag.  Edges are value objects
-with set semantics: a graph never holds two identical 4-field edges.
+generalization) plus a derived self-loop flag.  Edges are tuples with
+value semantics: a graph never holds two identical 4-field edges, and
+hashing, equality and ordering of edges run at tuple speed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from operator import itemgetter
 
 __all__ = [
     "RelationKind",
@@ -20,7 +22,6 @@ __all__ = [
     "GraphIntegrityError",
     "EmptyEdgeSetError",
     "make_edge",
-    "edge_set",
     "is_weakly_connected",
 ]
 
@@ -55,34 +56,47 @@ def _check_identifier(value: str, what: str = "node identifier") -> str:
     return value
 
 
-@dataclass(frozen=True, order=True)
-class EdgeTuple:
+class EdgeTuple(tuple):
     """A directed edge as the 4-field value (source, target, relation, self_loop).
 
+    An edge is a plain ``tuple`` underneath, so hashing, equality and
+    ordering run in C, and an edge compares equal to its ``as_tuple()``
+    form.  Ordering is lexicographic over the four fields, which doubles as
+    the canonical edge order wherever output must be deterministic.
     ``self_loop`` is derived from the endpoints (1 iff source == target) and
     cannot be supplied by callers, so an inconsistent flag is unrepresentable.
-    Ordering is lexicographic over the four fields, which doubles as the
-    canonical edge order wherever output must be deterministic.
     """
 
-    source: str
-    target: str
-    relation: RelationKind
-    self_loop: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_identifier(self.source)
-        _check_identifier(self.target)
-        object.__setattr__(self, "relation", RelationKind(self.relation))
-        object.__setattr__(self, "self_loop", 1 if self.source == self.target else 0)
+    def __new__(cls, source: str, target: str, relation: RelationKind | int) -> "EdgeTuple":
+        _check_identifier(source)
+        _check_identifier(target)
+        return tuple.__new__(
+            cls, (source, target, RelationKind(relation), 1 if source == target else 0)
+        )
+
+    def __getnewargs__(self) -> tuple[str, str, RelationKind]:
+        return self[:3]
+
+    source = property(itemgetter(0), doc="Source class identifier.")
+    target = property(itemgetter(1), doc="Target class identifier.")
+    relation = property(itemgetter(2), doc="Relationship kind.")
+    self_loop = property(itemgetter(3), doc="1 iff source == target, else 0.")
+
+    def __repr__(self) -> str:
+        return (
+            f"EdgeTuple(source={self[0]!r}, target={self[1]!r}, "
+            f"relation={self[2]!r}, self_loop={self[3]!r})"
+        )
 
     def as_tuple(self) -> tuple[str, str, int, int]:
-        return (self.source, self.target, int(self.relation), self.self_loop)
+        return (self[0], self[1], int(self[2]), self[3])
 
 
 def make_edge(source: str, target: str, relation: RelationKind | int) -> EdgeTuple:
     """Build an edge, deriving the self-loop flag from the endpoints."""
-    return EdgeTuple(source, target, RelationKind(relation))
+    return EdgeTuple(source, target, relation)
 
 
 @dataclass(frozen=True)
@@ -128,11 +142,6 @@ class ClassGraph:
         nodes = {e.source for e in edge_pool} | {e.target for e in edge_pool}
         nodes.update(isolated)
         return cls(name=name, nodes=frozenset(nodes), edges=edge_pool)
-
-
-def edge_set(graph: ClassGraph) -> frozenset[EdgeTuple]:
-    """The graph's edge set (one element per distinct 4-field edge)."""
-    return graph.edges
 
 
 def is_weakly_connected(edges: Iterable[EdgeTuple]) -> bool:

@@ -24,10 +24,17 @@ fragment in canonical order that reaches its system edges, together with
 that fragment's first embedding onto them in search order.  What remains
 costly on a wide star is enumerating the ``C(m, n)`` combinations and
 checking each one's connectivity and class, not the search.
+
+The system index is cached for the most recent system edge set, so all
+levels of all patterns run against one model share a single index.  The
+image of a connected fragment is connected, so matched images are checked
+for connectivity only when the fragment is the whole pattern and the
+pattern is disconnected.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping
@@ -45,7 +52,6 @@ __all__ = [
     "MatchTable",
     "DetectionReport",
     "PruneProfile",
-    "edge_compatible",
     "candidate_prune",
     "find_matches",
     "detect",
@@ -70,41 +76,6 @@ class Verdict(Enum):
 
 NodeMapping = dict[str, str]
 """Partial map from pattern node to system node; kept injective throughout."""
-
-
-def edge_compatible(
-    system_edge: EdgeTuple,
-    pattern_edge: EdgeTuple,
-    mapping: Mapping[str, str],
-) -> NodeMapping | None:
-    """Try to align one system edge with one pattern edge.
-
-    Returns a copy of ``mapping`` extended with pattern source -> system
-    source and pattern target -> system target, or None when the relation
-    codes or self-loop flags differ, an endpoint is already bound to a
-    different node, or the extension would break injectivity.  The input
-    mapping is never mutated.
-    """
-    if system_edge.relation is not pattern_edge.relation:
-        return None
-    if system_edge.self_loop != pattern_edge.self_loop:
-        return None
-    extended = dict(mapping)
-    bound = set(extended.values())
-    for pattern_node, system_node in (
-        (pattern_edge.source, system_edge.source),
-        (pattern_edge.target, system_edge.target),
-    ):
-        current = extended.get(pattern_node)
-        if current is not None:
-            if current != system_node:
-                return None
-        elif system_node in bound:
-            return None
-        else:
-            extended[pattern_node] = system_node
-            bound.add(system_node)
-    return extended
 
 
 @dataclass(frozen=True)
@@ -301,6 +272,15 @@ class _SystemIndex:
         return self._by_kind.get((pattern_edge.relation, pattern_edge.self_loop), ())
 
 
+@functools.lru_cache(maxsize=1)
+def _system_index(system: frozenset[EdgeTuple]) -> _SystemIndex:
+    """The index over ``system``, built once and reused while the same
+    system is searched: by every level of ``detect`` and by consecutive
+    patterns run against one model.  ``_SystemIndex`` is looked up at call
+    time, so a replacement of it takes effect on the next system."""
+    return _SystemIndex(system)
+
+
 def _eligible_fragments(
     pattern: frozenset[EdgeTuple], n: int
 ) -> Iterator[tuple[EdgeTuple, ...]]:
@@ -451,7 +431,11 @@ def find_matches(
     profile = candidate_prune(system, pattern, n) if prune else None
     if len(system) < n or (profile is not None and not profile.admits_level()):
         return MatchTable(level=n)
-    index = _SystemIndex(system)
+    index = _system_index(system)
+    # The image of a connected fragment is connected, so images need a
+    # check of their own only when the fragment may be disconnected: at the
+    # top level, where the fragment is the whole pattern.
+    check_images = n == len(pattern) and not is_weakly_connected(pattern)
     found: dict[frozenset[EdgeTuple], MatchRow] = {}
     # Only the first fragment of each typed-isomorphism class is searched;
     # the output is the same as searching every fragment, because:
@@ -474,7 +458,7 @@ def find_matches(
         for mapping, alignment in _embeddings(fragment, index):
             system_images = tuple(alignment[pattern_edge] for pattern_edge in fragment)
             key = frozenset(system_images)
-            if key in found or not is_weakly_connected(system_images):
+            if key in found or (check_images and not is_weakly_connected(system_images)):
                 continue
             found[key] = MatchRow(
                 pattern_edges=fragment,

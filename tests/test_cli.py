@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from dpdetect import DetectionReport, MatchTable, Verdict
+from dpdetect import DetectionReport, MatchTable, Verdict, builtin_catalog, detect, make_edge
 from dpdetect import cli
 from dpdetect.cli import CATALOG_ENV_VAR, main
+from helpers import SAMPLE_SYSTEM
 
 SYMMETRIC = Path(__file__).parent / "fixtures" / "symmetric"
 
@@ -95,6 +96,52 @@ def test_symmetric_json_report_is_pinned(capsys):
     )
     assert code == 0
     assert out.encode("utf-8") == (SYMMETRIC / "expected.json").read_bytes()
+
+
+def _reference_dict(document):
+    """The report schema as plain data, for ``json.dumps`` to lay out."""
+
+    def edge(e):
+        return [e.source, e.target, int(e.relation), e.self_loop]
+
+    return {
+        "model": document.model_name,
+        "tool_version": document.tool_version,
+        "catalog": list(document.catalog_names),
+        "results": [
+            {
+                "pattern": report.pattern_name,
+                "verdict": report.verdict.value,
+                "level": report.level,
+                "occurrences": report.occurrences,
+                "rows": [
+                    {
+                        "pattern_edges": [edge(e) for e in row.pattern_edges],
+                        "system_edges": [edge(e) for e in row.system_edges],
+                        "mapping": dict(sorted(row.mapping.items())),
+                    }
+                    for row in report.table.rows
+                ],
+            }
+            for report in document.results
+        ],
+    }
+
+
+@pytest.mark.parametrize("model_name", ["", "m\u00e9\u4e2d\"q\\"])
+def test_render_json_matches_json_dumps(model_name):
+    # The sample system's shape, so every verdict shows up, over identifiers
+    # with characters JSON escapes and some it leaves alone.
+    odd = dict(zip("abcde", ['q"uote', "back\\slash", "ctl\x01", "caf\u00e9", "\u4e2d"]))
+    system = frozenset(make_edge(odd[e.source], odd[e.target], e.relation) for e in SAMPLE_SYSTEM)
+    catalog = builtin_catalog()
+    results = tuple(detect(system, catalog.get(name).edges, name) for name in catalog.names())
+    # Absent, partial and complete verdicts, with multi-row tables.
+    assert {report.verdict for report in results} == set(Verdict)
+    assert max(report.occurrences for report in results) > 1
+    document = cli.ReportDocument(model_name, results, "0.1.0", tuple(catalog.names()))
+    expected = json.dumps(_reference_dict(document), indent=2, ensure_ascii=False) + "\n"
+    assert cli.render_json(document) == expected
 
 
 def test_json_rows_replay_their_mapping(capsys, sample_system_path):

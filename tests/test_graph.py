@@ -1,6 +1,8 @@
 """Edge encoding, graph construction, and connectivity."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -12,7 +14,6 @@ from dpdetect import (
     GraphIntegrityError,
     InvalidNodeError,
     RelationKind,
-    edge_set,
     is_weakly_connected,
     make_edge,
 )
@@ -82,6 +83,76 @@ def test_self_loop_flag_matches_equality_on_random_ids():
         assert edge.self_loop == (1 if src == tgt else 0)
 
 
+def _random_edges(rng, count):
+    names = ["a", "b", "c", "a1", "b\u00e9", "\u4e2d"]
+    return [
+        make_edge(rng.choice(names), rng.choice(names), rng.choice(tuple(RelationKind)))
+        for _ in range(count)
+    ]
+
+
+def test_edges_survive_pickle_and_copy():
+    for edge in (make_edge("a", "b", 2), make_edge("x", "x", 1)):
+        clones = [pickle.loads(pickle.dumps(edge, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        clones += [copy.copy(edge), copy.deepcopy(edge)]
+        for clone in clones:
+            assert type(clone) is EdgeTuple
+            assert clone == edge and hash(clone) == hash(edge)
+            assert clone.as_tuple() == edge.as_tuple()
+            assert clone.relation is edge.relation
+
+
+def test_edge_value_semantics_agree_with_as_tuple():
+    rng = random.Random(5)
+    pool = _random_edges(rng, 300)
+    assert [e.as_tuple() for e in sorted(pool)] == sorted(e.as_tuple() for e in pool)
+    for left, right in zip(pool, reversed(pool)):
+        assert (left == right) == (left.as_tuple() == right.as_tuple())
+        assert (left < right) == (left.as_tuple() < right.as_tuple())
+        if left == right:
+            assert hash(left) == hash(right)
+    assert len(set(pool)) == len({e.as_tuple() for e in pool})
+
+
+def test_edges_are_tuples_equal_to_their_as_tuple_form():
+    rng = random.Random(6)
+    for edge in _random_edges(rng, 50):
+        assert isinstance(edge, tuple)
+        assert edge == edge.as_tuple() and hash(edge) == hash(edge.as_tuple())
+
+
+def _consistent(edge):
+    return edge.self_loop == (1 if edge.source == edge.target else 0)
+
+
+def test_no_public_attribute_yields_an_inconsistent_edge():
+    edge = make_edge("a", "b", 1)
+    attempts = [((), {}), (("a",), {}), ((1,), {}), ((), {"target": "a"}),
+                ((), {"self_loop": 1}), ((["a", "a", 1, 0],), {})]
+    for name in dir(edge):
+        if name.startswith("__"):
+            continue
+        with pytest.raises(AttributeError):
+            setattr(edge, name, "a")
+        attribute = getattr(edge, name)
+        if not callable(attribute):
+            continue
+        for args, kwargs in attempts:
+            try:
+                result = attribute(*args, **kwargs)
+            except (TypeError, ValueError):
+                continue
+            assert not isinstance(result, EdgeTuple) or _consistent(result)
+    for operation in (lambda e: e + ("x",), lambda e: e * 2, lambda e: e[:3], lambda e: e[:]):
+        try:
+            result = operation(edge)
+        except TypeError:
+            continue
+        assert not isinstance(result, EdgeTuple) or _consistent(result)
+    assert _consistent(edge) and edge.self_loop == 0
+
+
 def test_graph_requires_declared_endpoints():
     with pytest.raises(GraphIntegrityError):
         ClassGraph(name="g", nodes=frozenset({"a"}), edges=frozenset({make_edge("a", "b", 1)}))
@@ -96,17 +167,17 @@ def test_graph_allows_isolated_nodes():
 def test_from_edges_collects_nodes():
     graph = ClassGraph.from_edges("g", [make_edge("a", "b", 1)], isolated=["z"])
     assert graph.nodes == {"a", "b", "z"}
-    assert edge_set(graph) == edges(("a", "b", 1))
+    assert graph.edges == edges(("a", "b", 1))
 
 
 def test_edge_set_of_sample_system():
     graph = ClassGraph.from_edges("sample", SAMPLE_SYSTEM)
-    assert edge_set(graph) == SAMPLE_SYSTEM
-    assert len(edge_set(graph)) == 6
+    assert graph.edges == SAMPLE_SYSTEM
+    assert len(graph.edges) == 6
 
 
 def test_edge_set_empty_graph():
-    assert edge_set(ClassGraph(name="", nodes=frozenset(), edges=frozenset())) == frozenset()
+    assert ClassGraph(name="", nodes=frozenset(), edges=frozenset()).edges == frozenset()
 
 
 def test_single_edge_is_connected():
@@ -177,5 +248,5 @@ def test_relabeling_commutes_with_graph_operations():
         assert is_weakly_connected(pool) == is_weakly_connected(relabeled)
         graph = ClassGraph.from_edges("g", pool)
         relabeled_graph = ClassGraph.from_edges("g", relabeled)
-        assert edge_set(relabeled_graph) == relabeled
-        assert len(edge_set(graph)) == len(edge_set(relabeled_graph))
+        assert relabeled_graph.edges == relabeled
+        assert len(graph.edges) == len(relabeled_graph.edges)

@@ -15,7 +15,6 @@ from dpdetect import (
     builtin_catalog,
     candidate_prune,
     detect,
-    edge_compatible,
     find_matches,
     is_weakly_connected,
     make_edge,
@@ -36,39 +35,35 @@ from helpers import (
 CATALOG = builtin_catalog()
 
 
-# --- edge_compatible -------------------------------------------------------
+# --- alignment rules ---------------------------------------------------------
 
 
 def test_compatible_edge_extends_empty_mapping():
-    extended = edge_compatible(make_edge("a", "b", 1), make_edge("P", "Q", 1), {})
-    assert extended == {"P": "a", "Q": "b"}
+    table = find_matches(edges(("a", "b", 1)), edges(("P", "Q", 1)), 1)
+    assert [row.mapping for row in table.rows] == [{"P": "a", "Q": "b"}]
 
 
 def test_self_loop_flags_must_agree():
-    assert edge_compatible(make_edge("a", "b", 1), make_edge("A", "A", 1), {}) is None
-    assert edge_compatible(make_edge("a", "a", 1), make_edge("P", "Q", 1), {}) is None
+    assert find_matches(edges(("a", "b", 1)), edges(("A", "A", 1)), 1).rows == ()
+    assert find_matches(edges(("a", "a", 1)), edges(("P", "Q", 1)), 1).rows == ()
 
 
 def test_bound_endpoint_must_stay_consistent():
-    assert edge_compatible(make_edge("e", "c", 3), make_edge("c", "a", 3), {"a": "b"}) is None
-    extended = edge_compatible(make_edge("e", "c", 3), make_edge("c", "a", 3), {"a": "c"})
-    assert extended == {"a": "c", "c": "e"}
+    # Both pattern edges end at a, so their images must share a target.
+    pattern = edges(("c", "a", 3), ("d", "a", 3))
+    assert find_matches(edges(("e", "c", 3), ("f", "b", 3)), pattern, 2).rows == ()
+    table = find_matches(edges(("e", "c", 3), ("f", "c", 3)), pattern, 2)
+    assert [row.mapping["a"] for row in table.rows] == ["c"]
 
 
 def test_relation_codes_must_agree():
-    assert edge_compatible(make_edge("a", "b", 2), make_edge("P", "Q", 1), {}) is None
+    assert find_matches(edges(("a", "b", 2)), edges(("P", "Q", 1)), 1).rows == ()
 
 
 def test_injectivity_is_enforced():
-    # Q would have to reuse the system node already bound to P.
-    assert edge_compatible(make_edge("a", "a", 1), make_edge("P", "Q", 1), {}) is None
-    assert edge_compatible(make_edge("a", "b", 1), make_edge("P", "Q", 1), {"R": "a"}) is None
-
-
-def test_input_mapping_is_not_mutated():
-    mapping = {"Z": "z"}
-    edge_compatible(make_edge("a", "b", 1), make_edge("P", "Q", 1), mapping)
-    assert mapping == {"Z": "z"}
+    # P -> Q -> R would fold onto the 2-cycle if R could reuse P's node.
+    system = edges(("a", "b", 1), ("b", "a", 1))
+    assert find_matches(system, edges(("P", "Q", 1), ("Q", "R", 1)), 2).rows == ()
 
 
 # --- find_matches golden tables -------------------------------------------
@@ -227,6 +222,49 @@ def test_symmetric_star_searches_one_fragment_per_level(monkeypatch):
     # covers all C(8, n) of them.
     assert searched[3] == 1
     assert all(count <= 1 for level, count in searched.items() if level < len(pattern))
+
+
+def test_one_system_index_serves_the_whole_catalog(monkeypatch):
+    rng = random.Random(31)
+    system = random_system(rng, max_nodes=12, max_edges=40)
+    built = Counter()
+
+    class CountingIndex(matcher._SystemIndex):
+        def __init__(self, indexed):
+            super().__init__(indexed)
+            built[indexed == system] += 1
+
+    monkeypatch.setattr(matcher, "_SystemIndex", CountingIndex)
+    matcher._system_index.cache_clear()
+    levels = Counter()
+    original = matcher.find_matches
+
+    def counting(system_edges, pattern_edges, n, **kwargs):
+        levels[n] += 1
+        return original(system_edges, pattern_edges, n, **kwargs)
+
+    monkeypatch.setattr(matcher, "find_matches", counting)
+    for name in CATALOG.names():
+        detect(system, CATALOG.get(name).edges, name)
+    # Several patterns, several levels each, one index.
+    assert sum(levels.values()) > len(CATALOG.names()) and len(levels) > 1
+    assert built[True] == 1
+
+
+def test_index_reuse_across_models_matches_fresh_runs():
+    rng = random.Random(32)
+    models = [random_system(rng, max_nodes=8, max_edges=14) for _ in range(2)]
+    names = CATALOG.names()
+
+    def fresh(system, name):
+        matcher._system_index.cache_clear()
+        return detect(system, CATALOG.get(name).edges, name)
+
+    expected = {(i, name): fresh(models[i], name) for i in (0, 1) for name in names}
+    matcher._system_index.cache_clear()
+    for i in (0, 1, 0):
+        for name in names:
+            assert detect(models[i], CATALOG.get(name).edges, name) == expected[i, name]
 
 
 def _symmetric_shape(rng):
