@@ -42,9 +42,8 @@ from .matcher import (
     MatchRow,
     MatchTable,
     NodeMapping,
-    PruneProfile,
     Verdict,
-    candidate_prune,
+    check_table,
     detect,
     find_matches,
 )
@@ -83,10 +82,9 @@ __all__ = [
     "MatchRow",
     "MatchTable",
     "DetectionReport",
-    "PruneProfile",
-    "candidate_prune",
     "find_matches",
     "detect",
+    "check_table",
     "OracleSizeError",
     "DEFAULT_MAX_EDGES",
     "DEFAULT_MAX_NODES",

@@ -30,6 +30,11 @@ levels of all patterns run against one model share a single index.  The
 image of a connected fragment is connected, so matched images are checked
 for connectivity only when the fragment is the whole pattern and the
 pattern is disconnected.
+
+Rows are built from embeddings the search has already checked, so
+``MatchRow`` and ``MatchTable`` are plain records that do not re-validate
+themselves.  ``check_table`` states every row and table rule in one place;
+the tests and ``dpdetect detect --verify`` run it.
 """
 
 from __future__ import annotations
@@ -51,10 +56,9 @@ __all__ = [
     "MatchRow",
     "MatchTable",
     "DetectionReport",
-    "PruneProfile",
-    "candidate_prune",
     "find_matches",
     "detect",
+    "check_table",
 ]
 
 
@@ -84,34 +88,13 @@ class MatchRow:
 
     ``system_edges[i]`` is the image of ``pattern_edges[i]`` under
     ``mapping``.  Rows are identified by their system edge set; the stored
-    alignment is one witness for it.
+    alignment is one witness for it.  The record does not check itself;
+    ``check_table`` states and checks every row rule.
     """
 
     pattern_edges: tuple[EdgeTuple, ...]
     system_edges: tuple[EdgeTuple, ...]
     mapping: dict[str, str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pattern_edges", tuple(self.pattern_edges))
-        object.__setattr__(self, "system_edges", tuple(self.system_edges))
-        if len(self.pattern_edges) != len(self.system_edges):
-            raise ValueError("pattern and system edge lists differ in length")
-        if not self.pattern_edges:
-            raise ValueError("a match row cannot be empty")
-        if len(set(self.system_edges)) != len(self.system_edges):
-            raise ValueError("system edges within a row must be distinct")
-        if len(set(self.mapping.values())) != len(self.mapping):
-            raise ValueError("node mapping must be injective")
-        for pattern_edge, system_edge in zip(self.pattern_edges, self.system_edges):
-            if (
-                pattern_edge.relation is not system_edge.relation
-                or pattern_edge.self_loop != system_edge.self_loop
-                or self.mapping.get(pattern_edge.source) != system_edge.source
-                or self.mapping.get(pattern_edge.target) != system_edge.target
-            ):
-                raise ValueError("mapping does not align pattern edges with system edges")
-        if not is_weakly_connected(self.system_edges):
-            raise ValueError("matched system edges must be weakly connected")
 
     def system_key(self) -> tuple[EdgeTuple, ...]:
         """Canonical identity of the row: its system edges in sorted order."""
@@ -125,24 +108,11 @@ class MatchTable:
     ``level`` is the column count (edges matched per row); the row count is
     the occurrence count.  Level 0 with no rows is the empty table carried
     by an absent verdict.  Rows are kept sorted by their system edge sets,
-    with no two rows sharing one.
+    with no two rows sharing one; ``check_table`` checks this.
     """
 
     level: int
     rows: tuple[MatchRow, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if self.level < 0:
-            raise ValueError("level cannot be negative")
-        if self.level == 0 and self.rows:
-            raise ValueError("a level-0 table cannot have rows")
-        for row in self.rows:
-            if len(row.system_edges) != self.level:
-                raise ValueError("every row must match exactly `level` edges")
-        keys = [row.system_key() for row in self.rows]
-        if sorted(set(keys)) != keys:
-            raise ValueError("rows must be unique and canonically ordered")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -185,48 +155,6 @@ class DetectionReport:
     @property
     def occurrences(self) -> int:
         return len(self.table)
-
-
-@dataclass(frozen=True)
-class PruneProfile:
-    """Relation-code supply and demand counts used to skip dead fragments.
-
-    Pruning is result-neutral: a fragment is skipped only when it demands
-    more edges of some relation code than the system holds, in which case
-    no injective alignment onto distinct system edges can exist anyway.
-    """
-
-    level: int
-    system_counts: dict[RelationKind, int]
-    pattern_counts: dict[RelationKind, int]
-
-    def admits(self, pattern_edges: Iterable[EdgeTuple]) -> bool:
-        demanded = Counter(edge.relation for edge in pattern_edges)
-        return all(self.system_counts.get(kind, 0) >= need for kind, need in demanded.items())
-
-    def admits_level(self) -> bool:
-        """Whether any size-``level`` fragment could embed at all.
-
-        A fragment draws at most min(supply, demand) edges per relation
-        code, so if those minima cannot add up to the level, the whole
-        level is empty.
-        """
-        usable = sum(
-            min(self.system_counts.get(kind, 0), need)
-            for kind, need in self.pattern_counts.items()
-        )
-        return usable >= self.level
-
-
-def candidate_prune(
-    system_edges: Iterable[EdgeTuple],
-    pattern_edges: Iterable[EdgeTuple],
-    n: int,
-) -> PruneProfile:
-    """Summarize relation-code counts on both sides for level ``n``."""
-    supply = Counter(edge.relation for edge in frozenset(system_edges))
-    demand = Counter(edge.relation for edge in frozenset(pattern_edges))
-    return PruneProfile(level=n, system_counts=dict(supply), pattern_counts=dict(demand))
 
 
 class _SystemIndex:
@@ -323,12 +251,21 @@ def _embeddings(
     fragment: tuple[EdgeTuple, ...], index: _SystemIndex
 ) -> Iterator[tuple[NodeMapping, dict[EdgeTuple, EdgeTuple]]]:
     """Yield (node mapping, pattern edge -> system edge alignment) for every
-    injective embedding of ``fragment`` into the indexed system."""
+    injective embedding of ``fragment`` into the indexed system.
+
+    The depth-first search keeps its state on explicit stacks: a recursive
+    closure would refer to itself, and every search would leave behind a
+    reference cycle that only the cyclic garbage collector frees.
+    """
     order = _search_order(fragment)
+    last = len(order) - 1
     mapping: NodeMapping = {}
     taken_nodes: set[str] = set()
-    taken_edges: set[EdgeTuple] = set()
     alignment: dict[EdgeTuple, EdgeTuple] = {}
+
+    def release(added: list[str]) -> None:
+        for p_node in added:
+            taken_nodes.discard(mapping.pop(p_node))
 
     def bind(pattern_edge: EdgeTuple, system_edge: EdgeTuple) -> list[str] | None:
         added: list[str] = []
@@ -348,30 +285,34 @@ def _embeddings(
                 added.append(p_node)
         else:
             return added
-        for p_node in added:
-            taken_nodes.discard(mapping.pop(p_node))
+        release(added)
         return None
 
-    def walk(depth: int) -> Iterator[tuple[NodeMapping, dict[EdgeTuple, EdgeTuple]]]:
-        if depth == len(order):
-            yield dict(mapping), dict(alignment)
-            return
+    # pending[d] holds the untried candidates for order[d]; bound[d] the
+    # pattern nodes bound by the candidate placed at depth d.  The mapping
+    # stays injective, so distinct pattern edges always land on distinct
+    # system edges.  alignment[order[d]] is rewritten whenever depth d
+    # places a candidate, so at a yield it holds the current path only.
+    pending = [iter(index.candidates(order[0], mapping))]
+    bound: list[list[str]] = []
+    while pending:
+        depth = len(pending) - 1
         pattern_edge = order[depth]
-        for system_edge in index.candidates(pattern_edge, mapping):
-            if system_edge in taken_edges:
-                continue
+        for system_edge in pending[depth]:
             added = bind(pattern_edge, system_edge)
             if added is None:
                 continue
-            taken_edges.add(system_edge)
             alignment[pattern_edge] = system_edge
-            yield from walk(depth + 1)
-            del alignment[pattern_edge]
-            taken_edges.discard(system_edge)
-            for p_node in added:
-                taken_nodes.discard(mapping.pop(p_node))
-
-    yield from walk(0)
+            if depth < last:
+                bound.append(added)
+                pending.append(iter(index.candidates(order[depth + 1], mapping)))
+                break
+            yield dict(mapping), dict(alignment)
+            release(added)
+        else:
+            pending.pop()
+            if bound:
+                release(bound.pop())
 
 
 def _shape(fragment: tuple[EdgeTuple, ...]) -> tuple:
@@ -409,17 +350,14 @@ def find_matches(
     system_edges: Iterable[EdgeTuple],
     pattern_edges: Iterable[EdgeTuple],
     n: int,
-    *,
-    prune: bool = True,
 ) -> MatchTable:
     """All occurrences at exactly level ``n``.
 
     Each row records one distinct weakly connected size-``n`` subset of
     ``system_edges`` onto which some eligible size-``n`` pattern fragment
     maps injectively, together with one witnessing alignment.  Rows come
-    back canonically ordered.  ``prune`` toggles the relation-count skip,
-    which never changes the result.  Raises ``LevelOutOfRangeError`` when
-    ``n`` is not in 1..|pattern| and ``EmptyPatternError`` for an edgeless
+    back canonically ordered.  Raises ``LevelOutOfRangeError`` when ``n``
+    is not in 1..|pattern| and ``EmptyPatternError`` for an edgeless
     pattern.
     """
     system = frozenset(system_edges)
@@ -428,8 +366,7 @@ def find_matches(
         raise EmptyPatternError("pattern has no edges")
     if not 0 < n <= len(pattern):
         raise LevelOutOfRangeError(f"level must be in 1..{len(pattern)}, got {n}")
-    profile = candidate_prune(system, pattern, n) if prune else None
-    if len(system) < n or (profile is not None and not profile.admits_level()):
+    if len(system) < n:
         return MatchTable(level=n)
     index = _system_index(system)
     # The image of a connected fragment is connected, so images need a
@@ -446,13 +383,9 @@ def find_matches(
     #   that class hits every key of the class;
     # - the witness for K is the earliest member of its class in canonical
     #   order with its first embedding onto K, which is the class
-    #   representative's row built below;
-    # - isomorphic fragments have the same relation counts, so the prune
-    #   profile admits or rejects a whole class together.
+    #   representative's row built below.
     representatives: dict[tuple, list[_SystemIndex]] = {}
     for fragment in _eligible_fragments(pattern, n):
-        if profile is not None and not profile.admits(fragment):
-            continue
         if not _opens_class(fragment, representatives):
             continue
         for mapping, alignment in _embeddings(fragment, index):
@@ -473,8 +406,6 @@ def detect(
     system_edges: Iterable[EdgeTuple],
     pattern_edges: Iterable[EdgeTuple],
     pattern_name: str = "",
-    *,
-    prune: bool = True,
 ) -> DetectionReport:
     """Classify a pattern's presence at the largest matchable level.
 
@@ -487,8 +418,57 @@ def detect(
     if not pattern:
         raise EmptyPatternError("pattern has no edges")
     for level in range(len(pattern), 0, -1):
-        table = find_matches(system, pattern, level, prune=prune)
+        table = find_matches(system, pattern, level)
         if table.rows:
             verdict = Verdict.COMPLETE if level == len(pattern) else Verdict.PARTIAL
             return DetectionReport(pattern_name, verdict, len(pattern), table)
     return DetectionReport(pattern_name, Verdict.ABSENT, len(pattern), MatchTable(level=0))
+
+
+def check_table(
+    table: MatchTable,
+    system_edges: Iterable[EdgeTuple],
+    pattern_edges: Iterable[EdgeTuple],
+) -> None:
+    """Check ``table`` as the level-``table.level`` occurrences of the
+    pattern in the system, and raise ``ValueError`` naming the first rule
+    it breaks.
+
+    These are all the row and table invariants.  ``find_matches`` keeps
+    them by construction, so they are checked here, for tests and for
+    ``dpdetect detect --verify``, and not on every row it builds.  An
+    aligned injective mapping makes each image isomorphic to its fragment,
+    so a connected image also means a connected fragment, as fragments
+    below the top level must be.
+    """
+    system = frozenset(system_edges)
+    pattern = frozenset(pattern_edges)
+    level = table.level
+    if not 0 <= level <= len(pattern):
+        raise ValueError(f"level {level} is outside 0..{len(pattern)}")
+    if level == 0 and table.rows:
+        raise ValueError("a level-0 table cannot have rows")
+    for number, row in enumerate(table.rows, 1):
+        if len(row.pattern_edges) != level or len(row.system_edges) != level:
+            broken = "every row must match exactly `level` edges"
+        elif not pattern.issuperset(row.pattern_edges):
+            broken = "pattern edges must come from the pattern"
+        elif not system.issuperset(row.system_edges):
+            broken = "system edges must come from the system"
+        elif len(set(row.system_edges)) != level:
+            broken = "system edges within a row must be distinct"
+        elif len(set(row.mapping.values())) != len(row.mapping):
+            broken = "node mapping must be injective"
+        elif any(
+            (row.mapping.get(p.source), row.mapping.get(p.target), p.relation, p.self_loop) != s
+            for p, s in zip(row.pattern_edges, row.system_edges)
+        ):
+            broken = "mapping does not align pattern edges with system edges"
+        elif not is_weakly_connected(row.system_edges):
+            broken = "matched system edges must be weakly connected"
+        else:
+            continue
+        raise ValueError(f"row {number}: {broken}")
+    keys = [row.system_key() for row in table.rows]
+    if any(earlier >= later for earlier, later in zip(keys, keys[1:])):
+        raise ValueError("rows must be unique and canonically ordered")

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from dpdetect import DetectionReport, MatchTable, Verdict, builtin_catalog, detect, make_edge
+from dpdetect import (
+    DetectionReport,
+    MatchRow,
+    MatchTable,
+    Verdict,
+    builtin_catalog,
+    detect,
+    make_edge,
+)
 from dpdetect import cli
 from dpdetect.cli import CATALOG_ENV_VAR, main
 from helpers import SAMPLE_SYSTEM
@@ -347,6 +355,35 @@ def test_verify_skips_oversized_models(capsys, tmp_path):
     assert code == 0
     assert "skipped" in err
     assert "exceeds the brute-force guard" in err
+
+
+def test_verify_checks_rows_past_the_oracle_guard(capsys, tmp_path, monkeypatch):
+    lines = [f"assoc n{i} n{i+1}" for i in range(14)]
+    big = tmp_path / "big.cg"
+    big.write_text("model big\n" + "\n".join(lines) + "\n", encoding="utf-8")
+
+    def unsound(system_edges, pattern_edges, pattern_name=""):
+        # Aligned and connected, but the matched edge is not in the model.
+        row = MatchRow(
+            pattern_edges=(make_edge("P", "Q", 1),),
+            system_edges=(make_edge("n0", "n2", 1),),
+            mapping={"P": "n0", "Q": "n2"},
+        )
+        return DetectionReport(pattern_name, Verdict.COMPLETE, 1, MatchTable(1, (row,)))
+
+    monkeypatch.setattr(cli, "detect", unsound)
+    code, out, err = run(capsys, "detect", str(big), "--pattern", "facade", "--verify")
+    assert code == 2
+    assert "invalid rows for 'facade'" in err
+    assert "system edges must come from the system" in err
+    assert "exceeds the brute-force guard" in err
+    # the report itself is still printed
+    assert out.splitlines() == [
+        "model: big",
+        "",
+        "[facade]",
+        "The design pattern completely exists in the System design with 1 times",
+    ]
 
 
 def test_version_flag(capsys):

@@ -1,5 +1,7 @@
-"""Matcher semantics: alignment, level search, verdicts, pruning."""
+"""Matcher semantics: alignment, level search, verdicts, row checks."""
 
+import dataclasses
+import gc
 import random
 from collections import Counter
 
@@ -13,7 +15,7 @@ from dpdetect import (
     MatchTable,
     Verdict,
     builtin_catalog,
-    candidate_prune,
+    check_table,
     detect,
     find_matches,
     is_weakly_connected,
@@ -318,6 +320,7 @@ def test_rows_are_sound_on_random_instances():
     for _ in range(150):
         system, pattern = random_instance(rng)
         report = detect(system, pattern)
+        check_table(report.table, system, pattern)
         for row in report.table.rows:
             assert set(row.system_edges) <= system
             assert len(set(row.system_edges)) == len(row.system_edges)
@@ -375,24 +378,129 @@ def test_relabeling_preserves_reports():
 
 
 def test_match_table_rejects_out_of_order_rows():
-    table = find_matches(SAMPLE_SYSTEM, CATALOG.get("facade").edges, 1)
-    backwards = tuple(reversed(table.rows))
-    with pytest.raises(ValueError):
-        MatchTable(level=1, rows=backwards)
+    pattern = CATALOG.get("facade").edges
+    table = find_matches(SAMPLE_SYSTEM, pattern, 1)
+    backwards = MatchTable(level=1, rows=tuple(reversed(table.rows)))
+    with pytest.raises(ValueError, match="canonically ordered"):
+        check_table(backwards, SAMPLE_SYSTEM, pattern)
 
 
 def test_match_table_level_zero_must_be_empty():
-    with pytest.raises(ValueError):
-        MatchTable(level=0, rows=find_matches(SAMPLE_SYSTEM, CATALOG.get("facade").edges, 1).rows)
+    pattern = CATALOG.get("facade").edges
+    rows = find_matches(SAMPLE_SYSTEM, pattern, 1).rows
+    with pytest.raises(ValueError, match="level-0"):
+        check_table(MatchTable(level=0, rows=rows), SAMPLE_SYSTEM, pattern)
 
 
 def test_match_row_validates_alignment():
-    with pytest.raises(ValueError):
-        MatchRow(
-            pattern_edges=(make_edge("P", "Q", 1),),
-            system_edges=(make_edge("a", "b", 1),),
-            mapping={"P": "a", "Q": "c"},
-        )
+    row = MatchRow(
+        pattern_edges=(make_edge("P", "Q", 1),),
+        system_edges=(make_edge("a", "b", 1),),
+        mapping={"P": "a", "Q": "c"},
+    )
+    with pytest.raises(ValueError, match="does not align"):
+        check_table(MatchTable(level=1, rows=(row,)), edges(("a", "b", 1)), edges(("P", "Q", 1)))
+
+
+def _corrupt_row(table, **changes):
+    first = dataclasses.replace(table.rows[0], **changes)
+    return dataclasses.replace(table, rows=(first, *table.rows[1:]))
+
+
+def _merge_two_nodes(row):
+    first, second = sorted(row.mapping)[:2]
+    return {**row.mapping, second: row.mapping[first]}
+
+
+def _join_rows(table):
+    """One level-2 row out of two level-1 rows of a disconnected pattern."""
+    first, second = table.rows
+    joined = MatchRow(
+        pattern_edges=first.pattern_edges + second.pattern_edges,
+        system_edges=first.system_edges + second.system_edges,
+        mapping={**first.mapping, **second.mapping},
+    )
+    return MatchTable(level=2, rows=(joined,))
+
+
+# composite on the sample system is partial at level 2 with three rows; the
+# split pattern is two detached edges, partial at level 1 with two rows.
+INSTANCES = {
+    "composite": (SAMPLE_SYSTEM, CATALOG.get("composite").edges),
+    "split": (edges(("x", "y", 1), ("u", "v", 2)), edges(("p", "q", 1), ("r", "s", 2))),
+}
+
+# Corruption -> (instance, corrupt the instance's real table, rule broken).
+CORRUPTIONS = {
+    "system edge outside the model": (
+        "composite",
+        lambda t: _corrupt_row(
+            t, system_edges=(make_edge("x", "y", 3), *t.rows[0].system_edges[1:])
+        ),
+        "must come from the system",
+    ),
+    "pattern edge outside the pattern": (
+        "composite",
+        lambda t: _corrupt_row(
+            t, pattern_edges=(make_edge("b", "a", 2), *t.rows[0].pattern_edges[1:])
+        ),
+        "must come from the pattern",
+    ),
+    "repeated edge within a row": (
+        "composite",
+        lambda t: _corrupt_row(
+            t,
+            pattern_edges=t.rows[0].pattern_edges[:1] * 2,
+            system_edges=t.rows[0].system_edges[:1] * 2,
+        ),
+        "must be distinct",
+    ),
+    "non-injective mapping": (
+        "composite",
+        lambda t: _corrupt_row(t, mapping=_merge_two_nodes(t.rows[0])),
+        "must be injective",
+    ),
+    "misaligned edge": (
+        "composite",
+        lambda t: _corrupt_row(t, system_edges=t.rows[0].system_edges[::-1]),
+        "does not align",
+    ),
+    "disconnected image": ("split", _join_rows, "weakly connected"),
+    "wrong row length": (
+        "composite",
+        lambda t: _corrupt_row(
+            t,
+            pattern_edges=t.rows[0].pattern_edges[:1],
+            system_edges=t.rows[0].system_edges[:1],
+        ),
+        "exactly `level` edges",
+    ),
+    "level above the pattern size": (
+        "composite",
+        lambda t: dataclasses.replace(t, level=4),
+        "outside 0..3",
+    ),
+    "reversed row order": (
+        "composite",
+        lambda t: dataclasses.replace(t, rows=t.rows[::-1]),
+        "unique and canonically ordered",
+    ),
+    "duplicate row": (
+        "composite",
+        lambda t: dataclasses.replace(t, rows=(t.rows[0], *t.rows)),
+        "unique and canonically ordered",
+    ),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_row_check_rejects_each_corruption(corruption):
+    instance, corrupt, rule = CORRUPTIONS[corruption]
+    system, pattern = INSTANCES[instance]
+    table = detect(system, pattern).table
+    check_table(table, system, pattern)
+    with pytest.raises(ValueError, match=rule):
+        check_table(corrupt(table), system, pattern)
 
 
 def test_report_verdict_partition_is_enforced():
@@ -403,33 +511,26 @@ def test_report_verdict_partition_is_enforced():
         DetectionReport("facade", Verdict.PARTIAL, 1, table)
 
 
-# --- pruning ----------------------------------------------------------------
-
-
-def test_prune_profile_counts_by_relation_code():
-    profile = candidate_prune(SAMPLE_SYSTEM, CATALOG.get("composite").edges, 2)
-    assert profile.system_counts == {1: 3, 2: 1, 3: 2}
-    assert profile.pattern_counts == {1: 1, 3: 2}
-
-
-def test_prune_profile_admits():
-    profile = candidate_prune(edges(("a", "b", 3)), edges(("p", "q", 3), ("r", "q", 3)), 2)
-    assert profile.admits(edges(("p", "q", 3)))
-    assert not profile.admits(edges(("p", "q", 3), ("r", "q", 3)))
-    assert not profile.admits_level()
-
-
-def test_pruning_is_result_neutral():
-    rng = random.Random(95)
-    for _ in range(120):
-        system, pattern = random_instance(rng)
-        for level in range(1, len(pattern) + 1):
-            assert find_matches(system, pattern, level, prune=True) == find_matches(
-                system, pattern, level, prune=False
-            )
-
-
-def test_pruning_is_result_neutral_when_it_fires():
+def test_pattern_needing_a_missing_relation_matches_oracle():
     system = edges(("a", "b", 1), ("b", "c", 1))  # no gen edges at all
     pattern = edges(("p", "q", 1), ("q", "r", 3))
-    assert detect(system, pattern, prune=True) == detect(system, pattern, prune=False)
+    assert detect(system, pattern) == oracle_detect(system, pattern)
+
+
+# --- resources ----------------------------------------------------------------
+
+
+def test_detection_leaves_no_reference_cycles():
+    def run_catalog():
+        for name in CATALOG.names():
+            detect(SAMPLE_SYSTEM, CATALOG.get(name).edges, name)
+
+    run_catalog()  # warm the system index cache
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            run_catalog()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
