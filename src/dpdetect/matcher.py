@@ -25,6 +25,19 @@ that fragment's first embedding onto them in search order.  What remains
 costly on a wide star is enumerating the ``C(m, n)`` combinations and
 checking each one's connectivity and class, not the search.
 
+Each search first compiles its fragment into a static plan.
+``_search_order`` fixes the order in which its edges are placed, so which
+endpoints are already bound at each depth is known before the search
+starts: each step reads the exact-edge table when both ends are bound, the
+source or target bucket when one is, and the relation bucket when neither
+is, and it names the node slots it fills.  The search then checks a
+candidate only against the set of taken system nodes, at the endpoints its
+step binds, and undoes exactly those on backtracking.  The embeddings, and
+with them the witnesses, follow ``_search_order``, with each step's
+candidates taken from sorted buckets.  The search yields only each embedding's image, aligned
+with the fragment; the node mapping of a row is rebuilt from the aligned
+edges, and only for an image not seen before.
+
 The system index is cached for the most recent system edge set, so all
 levels of all patterns run against one model share a single index.  The
 image of a connected fragment is connected, so matched images are checked
@@ -42,7 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -161,9 +174,10 @@ class _SystemIndex:
     """Candidate lookup tables over the system edge set.
 
     Buckets hold sorted tuples so iteration order is deterministic.  The
-    (relation, source, target) key is unique because the self-loop flag is
-    determined by the endpoints; partial-binding buckets carry the flag in
-    the key so a non-loop pattern edge never sees loop candidates.
+    (relation, source, target) key of ``exact`` is unique because the
+    self-loop flag is determined by the endpoints; the other tables carry
+    the flag in the key so a non-loop pattern edge never sees loop
+    candidates.
     """
 
     def __init__(self, edges: frozenset[EdgeTuple]) -> None:
@@ -176,28 +190,10 @@ class _SystemIndex:
             by_source.setdefault((edge.relation, edge.self_loop, edge.source), []).append(edge)
             by_target.setdefault((edge.relation, edge.self_loop, edge.target), []).append(edge)
             exact[(edge.relation, edge.source, edge.target)] = edge
-        self._by_kind = {key: tuple(bucket) for key, bucket in by_kind.items()}
-        self._by_source = {key: tuple(bucket) for key, bucket in by_source.items()}
-        self._by_target = {key: tuple(bucket) for key, bucket in by_target.items()}
-        self._exact = exact
-
-    def candidates(
-        self, pattern_edge: EdgeTuple, mapping: Mapping[str, str]
-    ) -> tuple[EdgeTuple, ...]:
-        bound_source = mapping.get(pattern_edge.source)
-        bound_target = mapping.get(pattern_edge.target)
-        if bound_source is not None and bound_target is not None:
-            hit = self._exact.get((pattern_edge.relation, bound_source, bound_target))
-            return (hit,) if hit is not None else ()
-        if bound_source is not None:
-            return self._by_source.get(
-                (pattern_edge.relation, pattern_edge.self_loop, bound_source), ()
-            )
-        if bound_target is not None:
-            return self._by_target.get(
-                (pattern_edge.relation, pattern_edge.self_loop, bound_target), ()
-            )
-        return self._by_kind.get((pattern_edge.relation, pattern_edge.self_loop), ())
+        self.by_kind = {key: tuple(bucket) for key, bucket in by_kind.items()}
+        self.by_source = {key: tuple(bucket) for key, bucket in by_source.items()}
+        self.by_target = {key: tuple(bucket) for key, bucket in by_target.items()}
+        self.exact = exact
 
 
 @functools.lru_cache(maxsize=1)
@@ -247,72 +243,123 @@ def _search_order(fragment: tuple[EdgeTuple, ...]) -> list[EdgeTuple]:
     return order
 
 
+# Which index table a plan step reads, by which of its endpoints are bound.
+_EXACT, _BY_SOURCE, _BY_TARGET, _BY_KIND = range(4)
+
+
+def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[list[tuple], int]:
+    """The static search plan for ``fragment`` and its number of node slots.
+
+    Step ``d`` places ``_search_order(fragment)[d]``.  Which of its
+    endpoints earlier steps have bound depends on the order alone, so each
+    step fixes in advance the table it reads and the slots it binds.  A
+    step is ``(lookup, relation, self_loop, source_slot, target_slot,
+    binds_source, binds_target, position)``: ``lookup`` is one of
+    ``_EXACT`` (both ends bound), ``_BY_SOURCE``, ``_BY_TARGET`` (one end
+    bound) or ``_BY_KIND`` (neither); ``binds_*`` say which endpoint slots
+    the step fills; ``position`` is the edge's index in ``fragment``.  A
+    self-loop binds its one slot as its source.
+    """
+    slots: dict[str, int] = {}
+    steps = []
+    for edge in _search_order(fragment):
+        source, target, relation, self_loop = edge
+        bound_source, bound_target = source in slots, target in slots
+        if bound_source and bound_target:
+            lookup = _EXACT
+        elif bound_source:
+            lookup = _BY_SOURCE
+        elif bound_target:
+            lookup = _BY_TARGET
+        else:
+            lookup = _BY_KIND
+        binds_source = not bound_source
+        binds_target = not bound_target and target != source
+        source_slot = slots.setdefault(source, len(slots))
+        target_slot = slots.setdefault(target, len(slots))
+        steps.append(
+            (lookup, relation, self_loop, source_slot, target_slot,
+             binds_source, binds_target, fragment.index(edge))
+        )
+    return steps, len(slots)
+
+
 def _embeddings(
     fragment: tuple[EdgeTuple, ...], index: _SystemIndex
-) -> Iterator[tuple[NodeMapping, dict[EdgeTuple, EdgeTuple]]]:
-    """Yield (node mapping, pattern edge -> system edge alignment) for every
-    injective embedding of ``fragment`` into the indexed system.
+) -> Iterator[tuple[EdgeTuple, ...]]:
+    """Yield the image of every injective embedding of ``fragment`` into
+    the indexed system: the system edge of each fragment edge, aligned
+    position-wise with ``fragment``.
 
-    The depth-first search keeps its state on explicit stacks: a recursive
-    closure would refer to itself, and every search would leave behind a
-    reference cycle that only the cyclic garbage collector frees.
+    The search follows the plan of ``_plan``: ``nodes[slot]`` holds the
+    system node of each bound pattern node and ``taken`` the set of them,
+    so a candidate is checked only against ``taken``, and only at the
+    endpoints its step binds.  The mapping stays injective, so distinct
+    pattern edges always land on distinct system edges.  The depth-first
+    search keeps its state on explicit stacks: a recursive closure would
+    refer to itself, and every search would leave behind a reference
+    cycle that only the cyclic garbage collector frees.
     """
-    order = _search_order(fragment)
-    last = len(order) - 1
-    mapping: NodeMapping = {}
-    taken_nodes: set[str] = set()
-    alignment: dict[EdgeTuple, EdgeTuple] = {}
-
-    def release(added: list[str]) -> None:
-        for p_node in added:
-            taken_nodes.discard(mapping.pop(p_node))
-
-    def bind(pattern_edge: EdgeTuple, system_edge: EdgeTuple) -> list[str] | None:
-        added: list[str] = []
-        for p_node, s_node in (
-            (pattern_edge.source, system_edge.source),
-            (pattern_edge.target, system_edge.target),
-        ):
-            current = mapping.get(p_node)
-            if current is not None:
-                if current != s_node:
-                    break
-            elif s_node in taken_nodes:
-                break
-            else:
-                mapping[p_node] = s_node
-                taken_nodes.add(s_node)
-                added.append(p_node)
-        else:
-            return added
-        release(added)
-        return None
-
-    # pending[d] holds the untried candidates for order[d]; bound[d] the
-    # pattern nodes bound by the candidate placed at depth d.  The mapping
-    # stays injective, so distinct pattern edges always land on distinct
-    # system edges.  alignment[order[d]] is rewritten whenever depth d
-    # places a candidate, so at a yield it holds the current path only.
-    pending = [iter(index.candidates(order[0], mapping))]
-    bound: list[list[str]] = []
+    steps, slot_count = _plan(fragment)
+    last = len(steps) - 1
+    nodes = [""] * slot_count
+    taken: set[str] = set()
+    images = list(fragment)
+    by_kind, by_source, by_target, exact = (
+        index.by_kind, index.by_source, index.by_target, index.exact
+    )
+    # pending[d] holds the untried candidates of step d.  images[position]
+    # is rewritten whenever its step places a candidate, so at a yield it
+    # holds the current path only.
+    pending = [iter(by_kind.get(steps[0][1:3], ()))]
     while pending:
         depth = len(pending) - 1
-        pattern_edge = order[depth]
-        for system_edge in pending[depth]:
-            added = bind(pattern_edge, system_edge)
-            if added is None:
-                continue
-            alignment[pattern_edge] = system_edge
-            if depth < last:
-                bound.append(added)
-                pending.append(iter(index.candidates(order[depth + 1], mapping)))
-                break
-            yield dict(mapping), dict(alignment)
-            release(added)
+        _, _, _, source_slot, target_slot, binds_source, binds_target, position = steps[depth]
+        for edge in pending[depth]:
+            if binds_source:
+                if edge[0] in taken or (binds_target and edge[1] in taken):
+                    continue
+                nodes[source_slot] = edge[0]
+                taken.add(edge[0])
+                if binds_target:
+                    nodes[target_slot] = edge[1]
+                    taken.add(edge[1])
+            elif binds_target:
+                if edge[1] in taken:
+                    continue
+                nodes[target_slot] = edge[1]
+                taken.add(edge[1])
+            images[position] = edge
+            if depth == last:
+                yield tuple(images)
+            else:
+                lookup, relation, self_loop, source, target, _, _, _ = steps[depth + 1]
+                if lookup == _EXACT:
+                    hit = exact.get((relation, nodes[source], nodes[target]))
+                    candidates = () if hit is None else (hit,)
+                elif lookup == _BY_SOURCE:
+                    candidates = by_source.get((relation, self_loop, nodes[source]), ())
+                elif lookup == _BY_TARGET:
+                    candidates = by_target.get((relation, self_loop, nodes[target]), ())
+                else:
+                    candidates = by_kind.get((relation, self_loop), ())
+                if candidates:
+                    pending.append(iter(candidates))
+                    break
+            # A yielded embedding or a next step without candidates: undo
+            # this step's bindings and try its next candidate.
+            if binds_source:
+                taken.discard(edge[0])
+            if binds_target:
+                taken.discard(edge[1])
         else:
             pending.pop()
-            if bound:
-                release(bound.pop())
+            if depth:
+                _, _, _, source_slot, target_slot, binds_source, binds_target, _ = steps[depth - 1]
+                if binds_source:
+                    taken.discard(nodes[source_slot])
+                if binds_target:
+                    taken.discard(nodes[target_slot])
 
 
 def _shape(fragment: tuple[EdgeTuple, ...]) -> tuple:
@@ -388,11 +435,14 @@ def find_matches(
     for fragment in _eligible_fragments(pattern, n):
         if not _opens_class(fragment, representatives):
             continue
-        for mapping, alignment in _embeddings(fragment, index):
-            system_images = tuple(alignment[pattern_edge] for pattern_edge in fragment)
+        for system_images in _embeddings(fragment, index):
             key = frozenset(system_images)
             if key in found or (check_images and not is_weakly_connected(system_images)):
                 continue
+            mapping = {}
+            for pattern_edge, system_edge in zip(fragment, system_images):
+                mapping[pattern_edge[0]] = system_edge[0]
+                mapping[pattern_edge[1]] = system_edge[1]
             found[key] = MatchRow(
                 pattern_edges=fragment,
                 system_edges=system_images,

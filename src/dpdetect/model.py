@@ -2,14 +2,17 @@
 
 One directive per line: ``model <name>`` (optional header, first directive
 if present), ``class <id>``, ``assoc <src> <dst>``, ``dep <src> <dst>``,
-``gen <src> <dst>`` and ``selfassoc <id>``.  ``#`` starts a comment that
-runs to the end of the line.  Relationship directives auto-declare class
+``gen <src> <dst>`` and ``selfassoc <id>``.  Lines end at ``\n``, ``\r\n``
+or ``\r`` only; other characters that ``str.splitlines`` breaks at, such as
+form feed or U+2028, are whitespace inside a line.  ``#`` starts a comment
+that runs to the end of the line.  Relationship directives auto-declare class
 names they mention, so small fixtures stay short; an explicit ``class``
 line is only required for isolated classes.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .graph import ClassGraph, EdgeTuple, RelationKind, make_edge
@@ -38,6 +41,7 @@ _RELATION_FOR = {
     "gen": RelationKind.GENERALIZATION,
 }
 _ARITY = {"class": 1, "selfassoc": 1, "assoc": 2, "dep": 2, "gen": 2}
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,7 @@ def scan_declarations(text: str) -> ModelDocument:
     name = ""
     seen_header = False
     declarations: list[Declaration] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -80,6 +80,16 @@ def test_unparseable_entry_names_the_file(tmp_path):
         load_catalog(tmp_path)
 
 
+def test_entry_lines_end_only_at_newlines(tmp_path):
+    (tmp_path / "observer.cg").write_text(
+        "model observer # note \u2028 x\ndep observer subject\x0c\n", encoding="utf-8"
+    )
+    assert load_catalog(tmp_path).get("observer").edges == edges(("observer", "subject", 2))
+    (tmp_path / "broken.cg").write_text("model broken\x0c\nassoc a\n", encoding="utf-8")
+    with pytest.raises(CatalogError, match="broken.cg.*line 2:"):
+        load_catalog(tmp_path)
+
+
 def test_duplicate_user_names_rejected(tmp_path):
     (tmp_path / "one.cg").write_text("model same\nassoc a b\n", encoding="utf-8")
     (tmp_path / "two.cg").write_text("model Same\nassoc x y\n", encoding="utf-8")

@@ -21,6 +21,7 @@ from dpdetect.cli import CATALOG_ENV_VAR, main
 from helpers import SAMPLE_SYSTEM
 
 SYMMETRIC = Path(__file__).parent / "fixtures" / "symmetric"
+CYCLES = Path(__file__).parent / "fixtures" / "cycles"
 
 COMPLETE_3 = "The design pattern completely exists in the System design with 3 times"
 PARTIAL_3 = "The design pattern partially exists in the System design with 3 times"
@@ -90,20 +91,34 @@ def test_detect_json_document(capsys, sample_system_path):
     }
 
 
-def test_symmetric_json_report_is_pinned(capsys):
-    # Pins the witness mapping of every row, which the oracle cannot check:
-    # a 5-leaf star and a 5-edge chain have many isomorphic fragments.
+def assert_json_report_is_pinned(capsys, fixture):
     code, out, _ = run(
         capsys,
         "detect",
-        str(SYMMETRIC / "model.cg"),
+        str(fixture / "model.cg"),
         "--catalog",
-        str(SYMMETRIC / "patterns"),
+        str(fixture / "patterns"),
         "--format",
         "json",
     )
     assert code == 0
-    assert out.encode("utf-8") == (SYMMETRIC / "expected.json").read_bytes()
+    assert out.encode("utf-8") == (fixture / "expected.json").read_bytes()
+
+
+def test_symmetric_json_report_is_pinned(capsys):
+    # Pins the witness mapping of every row, which the oracle cannot check:
+    # a 5-leaf star and a 5-edge chain have many isomorphic fragments.
+    assert_json_report_is_pinned(capsys, SYMMETRIC)
+
+
+def test_cycles_json_report_is_pinned(capsys):
+    # Cycles map onto themselves by rotation, so each image has several
+    # embeddings; the pinned witness is the first in search order.  The
+    # propeller's blade swap keeps its first edge, the hub's loop, in place,
+    # so its witness also pins the order of the source buckets.  The bowtie
+    # lacks an edge in the model and the zigzag never closes, so their
+    # witnesses come from fragments below the top level.
+    assert_json_report_is_pinned(capsys, CYCLES)
 
 
 def _reference_dict(document):

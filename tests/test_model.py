@@ -48,6 +48,12 @@ def test_comments_and_blank_lines_ignored():
     assert graph.edges == edges(("a", "b", 1))
 
 
+def test_line_separator_inside_a_comment_stays_in_the_comment():
+    assert parse_model("class a\n# note \u2028 x\nassoc a b\n").edges == edges(("a", "b", 1))
+    with pytest.raises(ModelSyntaxError, match="line 3: unknown directive 'bogus'"):
+        parse_model("class a\n# note \u2028 x\nbogus a\n")
+
+
 def test_relationships_auto_declare_classes():
     graph = parse_model("assoc a b\ngen c b\n")
     assert graph.nodes == {"a", "b", "c"}
@@ -69,6 +75,10 @@ def test_explicit_class_after_auto_declaration_is_fine():
         ("model m\nclass a\nmodel m2\n", 3),
         ("class a\nmodel late\n", 2),
         ("model\n", 1),
+        ("class a\r\nassoc a\r\n", 2),
+        ("class a\rassoc a\r", 2),
+        # Only \n, \r\n and \r end a line, though str.splitlines breaks at each of these.
+        *((f"class a{sep}\nassoc a\n", 2) for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
     ],
 )
 def test_syntax_errors_carry_line_numbers(text, line):
