@@ -21,14 +21,7 @@ from .graph import (
     is_weakly_connected,
     make_edge,
 )
-from .model import (
-    Declaration,
-    ModelDocument,
-    ModelSyntaxError,
-    parse_model,
-    render_model,
-    scan_declarations,
-)
+from .model import ModelSyntaxError, parse_model, render_model
 from .catalog import (
     CatalogError,
     PatternCatalog,
@@ -41,19 +34,12 @@ from .matcher import (
     LevelOutOfRangeError,
     MatchRow,
     MatchTable,
-    NodeMapping,
     Verdict,
     check_table,
     detect,
     find_matches,
 )
-from .oracle import (
-    DEFAULT_MAX_EDGES,
-    DEFAULT_MAX_NODES,
-    OracleSizeError,
-    oracle_detect,
-    oracle_find_matches,
-)
+from .oracle import OracleSizeError, oracle_detect, oracle_find_matches
 
 __all__ = [
     "__version__",
@@ -66,9 +52,6 @@ __all__ = [
     "make_edge",
     "is_weakly_connected",
     "ModelSyntaxError",
-    "Declaration",
-    "ModelDocument",
-    "scan_declarations",
     "parse_model",
     "render_model",
     "CatalogError",
@@ -78,7 +61,6 @@ __all__ = [
     "EmptyPatternError",
     "LevelOutOfRangeError",
     "Verdict",
-    "NodeMapping",
     "MatchRow",
     "MatchTable",
     "DetectionReport",
@@ -86,8 +68,6 @@ __all__ = [
     "detect",
     "check_table",
     "OracleSizeError",
-    "DEFAULT_MAX_EDGES",
-    "DEFAULT_MAX_NODES",
     "oracle_find_matches",
     "oracle_detect",
 ]

@@ -2,8 +2,9 @@
 
 Pattern names are case-insensitive and stored lowercase.  User catalogs are
 directories of ``.cg`` files (or a single file); a user entry whose name
-collides with a built-in shadows it.  Isolated nodes in a pattern file are
-legal but never constrain matching, which works on edges alone.
+collides with a built-in shadows it.  A user pattern's edges must form one
+weakly connected piece.  Isolated nodes in a pattern file are legal but never
+constrain matching, which works on edges alone.
 """
 
 from __future__ import annotations
@@ -11,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import ClassGraph, InvalidNodeError, RelationKind, make_edge
-from .model import ModelSyntaxError, scan_declarations
+from .graph import ClassGraph, RelationKind, is_weakly_connected, make_edge
+from .model import ModelSyntaxError, parse_model
 
-__all__ = ["CatalogError", "PatternCatalog", "builtin_catalog", "load_catalog", "CATALOG_SUFFIX"]
-
-CATALOG_SUFFIX = ".cg"
+__all__ = ["CatalogError", "PatternCatalog", "builtin_catalog", "load_catalog"]
 
 
 class CatalogError(ValueError):
@@ -86,14 +85,16 @@ def load_catalog(source: str | Path | None = None) -> PatternCatalog:
     scanned for ``*.cg`` in sorted order.  Each entry is named by its
     ``model`` header, falling back to the filename stem.  Raises
     ``CatalogError`` for unreadable paths, entries that are not UTF-8 or
-    do not parse, duplicate user names, or zero-edge patterns.
+    do not parse, duplicate user names, and patterns that have no edges or
+    are not weakly connected.  A disconnected pattern could never exist
+    completely, because its parts land on node-disjoint system edges.
     """
     builtins = builtin_catalog()
     if source is None:
         return builtins
     path = Path(source)
     if path.is_dir():
-        files = sorted(path.glob(f"*{CATALOG_SUFFIX}"))
+        files = sorted(path.glob("*.cg"))
     elif path.is_file():
         files = [path]
     else:
@@ -101,15 +102,14 @@ def load_catalog(source: str | Path | None = None) -> PatternCatalog:
     user: dict[str, ClassGraph] = {}
     for file in files:
         try:
-            document = scan_declarations(file.read_text(encoding="utf-8"))
-            graph = document.to_graph()
-        except (OSError, UnicodeDecodeError) as err:
+            graph = parse_model(file.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, ModelSyntaxError) as err:
             raise CatalogError(f"catalog entry {file.name!r}: {err}") from err
-        except (ModelSyntaxError, InvalidNodeError) as err:
-            raise CatalogError(f"catalog entry {file.name!r}: {err}") from err
-        name = (document.name or file.stem).lower()
+        name = (graph.name or file.stem).lower()
         if not graph.edges:
             raise CatalogError(f"catalog entry {file.name!r}: pattern has no edges")
+        if not is_weakly_connected(graph.edges):
+            raise CatalogError(f"catalog entry {file.name!r}: pattern is not weakly connected")
         if name in user:
             raise CatalogError(f"catalog entry {file.name!r}: duplicate pattern name {name!r}")
         user[name] = graph

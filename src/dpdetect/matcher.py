@@ -34,15 +34,17 @@ is, and it names the node slots it fills.  The search then checks a
 candidate only against the set of taken system nodes, at the endpoints its
 step binds, and undoes exactly those on backtracking.  The embeddings, and
 with them the witnesses, follow ``_search_order``, with each step's
-candidates taken from sorted buckets.  The search yields only each embedding's image, aligned
-with the fragment; the node mapping of a row is rebuilt from the aligned
-edges, and only for an image not seen before.
+candidates taken from sorted buckets.  The search yields only each
+embedding's image, aligned with the fragment; the node mapping of a row is
+rebuilt from the aligned edges, and only for an image not seen before.
 
 The system index is cached for the most recent system edge set, so all
 levels of all patterns run against one model share a single index.  The
-image of a connected fragment is connected, so matched images are checked
-for connectivity only when the fragment is the whole pattern and the
-pattern is disconnected.
+image of a connected fragment is connected, so matched images need no
+connectivity check of their own.  A disconnected pattern has no connected
+image, because an injective map sends its components onto node-disjoint
+edges, so its top level is empty without a search and it is at best
+partial.  User catalogs reject such patterns outright.
 
 Rows are built from embeddings the search has already checked, so
 ``MatchRow`` and ``MatchTable`` are plain records that do not re-validate
@@ -65,7 +67,6 @@ __all__ = [
     "EmptyPatternError",
     "LevelOutOfRangeError",
     "Verdict",
-    "NodeMapping",
     "MatchRow",
     "MatchTable",
     "DetectionReport",
@@ -89,10 +90,6 @@ class Verdict(Enum):
     COMPLETE = "complete"
     PARTIAL = "partial"
     ABSENT = "absent"
-
-
-NodeMapping = dict[str, str]
-"""Partial map from pattern node to system node; kept injective throughout."""
 
 
 @dataclass(frozen=True)
@@ -210,8 +207,9 @@ def _eligible_fragments(
 ) -> Iterator[tuple[EdgeTuple, ...]]:
     """Size-``n`` pattern fragments eligible at level ``n``, canonical order.
 
-    The full pattern is the only fragment at the top level; below it a
-    fragment must be weakly connected on its own.
+    Every eligible fragment is weakly connected.  At the top level the
+    only fragment is the whole pattern, whose connectivity ``find_matches``
+    has already checked.
     """
     ordered = tuple(sorted(pattern))
     if n == len(ordered):
@@ -403,9 +401,9 @@ def find_matches(
     Each row records one distinct weakly connected size-``n`` subset of
     ``system_edges`` onto which some eligible size-``n`` pattern fragment
     maps injectively, together with one witnessing alignment.  Rows come
-    back canonically ordered.  Raises ``LevelOutOfRangeError`` when ``n``
-    is not in 1..|pattern| and ``EmptyPatternError`` for an edgeless
-    pattern.
+    back canonically ordered; a disconnected pattern has none at its top
+    level.  Raises ``LevelOutOfRangeError`` when ``n`` is not in
+    1..|pattern| and ``EmptyPatternError`` for an edgeless pattern.
     """
     system = frozenset(system_edges)
     pattern = frozenset(pattern_edges)
@@ -413,13 +411,11 @@ def find_matches(
         raise EmptyPatternError("pattern has no edges")
     if not 0 < n <= len(pattern):
         raise LevelOutOfRangeError(f"level must be in 1..{len(pattern)}, got {n}")
-    if len(system) < n:
+    # At the top level the fragment is the whole pattern.  If it is
+    # disconnected, no injective map gives it a connected image.
+    if len(system) < n or (n == len(pattern) and not is_weakly_connected(pattern)):
         return MatchTable(level=n)
     index = _system_index(system)
-    # The image of a connected fragment is connected, so images need a
-    # check of their own only when the fragment may be disconnected: at the
-    # top level, where the fragment is the whole pattern.
-    check_images = n == len(pattern) and not is_weakly_connected(pattern)
     found: dict[frozenset[EdgeTuple], MatchRow] = {}
     # Only the first fragment of each typed-isomorphism class is searched;
     # the output is the same as searching every fragment, because:
@@ -437,7 +433,7 @@ def find_matches(
             continue
         for system_images in _embeddings(fragment, index):
             key = frozenset(system_images)
-            if key in found or (check_images and not is_weakly_connected(system_images)):
+            if key in found:
                 continue
             mapping = {}
             for pattern_edge, system_edge in zip(fragment, system_images):

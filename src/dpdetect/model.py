@@ -1,4 +1,4 @@
-"""Line-based text format for class models: scanning, parsing, rendering.
+"""Line-based text format for class models: parsing and rendering.
 
 One directive per line: ``model <name>`` (optional header, first directive
 if present), ``class <id>``, ``assoc <src> <dst>``, ``dep <src> <dst>``,
@@ -13,30 +13,25 @@ line is only required for isolated classes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .graph import ClassGraph, EdgeTuple, RelationKind, make_edge
 
-__all__ = [
-    "ModelSyntaxError",
-    "Declaration",
-    "ModelDocument",
-    "scan_declarations",
-    "parse_model",
-    "render_model",
-]
+__all__ = ["ModelSyntaxError", "parse_model", "render_model"]
 
 
 class ModelSyntaxError(ValueError):
-    """A model file line the scanner or graph builder cannot accept."""
+    """A model file line the parser cannot accept."""
 
     def __init__(self, message: str, line: int) -> None:
         super().__init__(f"line {line}: {message}")
         self.line = line
 
 
+# ``selfassoc x`` is ``assoc x x``: an edge runs from the first operand to
+# the last.
 _RELATION_FOR = {
     "assoc": RelationKind.ASSOCIATION,
+    "selfassoc": RelationKind.ASSOCIATION,
     "dep": RelationKind.DEPENDENCY,
     "gen": RelationKind.GENERALIZATION,
 }
@@ -44,81 +39,34 @@ _ARITY = {"class": 1, "selfassoc": 1, "assoc": 2, "dep": 2, "gen": 2}
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
-@dataclass(frozen=True)
-class Declaration:
-    """One parsed directive; ``line`` is diagnostic only and never compared."""
+def parse_model(text: str) -> ClassGraph:
+    """Parse model text into a graph in one pass over its lines.
 
-    kind: str
-    operands: tuple[str, ...]
-    line: int = field(default=0, compare=False)
-
-    def render(self) -> str:
-        return " ".join((self.kind, *self.operands))
-
-
-@dataclass(frozen=True)
-class ModelDocument:
-    """A model file as an ordered list of declarations plus its name."""
-
-    name: str
-    declarations: tuple[Declaration, ...]
-
-    def render(self) -> str:
-        lines = [f"model {self.name}"] if self.name else []
-        lines.extend(d.render() for d in self.declarations)
-        return "\n".join(lines) + "\n" if lines else ""
-
-    def to_graph(self) -> ClassGraph:
-        """Build the graph, collapsing repeated edges into set membership.
-
-        An explicit ``class`` line for a name already auto-declared by a
-        relationship is fine; a second explicit line for the same name is
-        a duplicate and rejected.
-        """
-        nodes: set[str] = set()
-        explicit: set[str] = set()
-        edges: set[EdgeTuple] = set()
-        for decl in self.declarations:
-            if decl.kind == "class":
-                (cname,) = decl.operands
-                if cname in explicit:
-                    raise ModelSyntaxError(f"duplicate class {cname!r}", decl.line)
-                explicit.add(cname)
-                nodes.add(cname)
-            elif decl.kind == "selfassoc":
-                (cname,) = decl.operands
-                nodes.add(cname)
-                edges.add(make_edge(cname, cname, RelationKind.ASSOCIATION))
-            else:
-                src, dst = decl.operands
-                nodes.update((src, dst))
-                edges.add(make_edge(src, dst, _RELATION_FOR[decl.kind]))
-        return ClassGraph(name=self.name, nodes=frozenset(nodes), edges=frozenset(edges))
-
-
-def scan_declarations(text: str) -> ModelDocument:
-    """Tokenize model text into an ordered declaration list.
-
-    Raises ``ModelSyntaxError`` (with the offending line number) for unknown
-    directives, wrong operand counts, or a misplaced/duplicate header.
+    Repeated edges collapse into set membership.  An explicit ``class``
+    line for a name already auto-declared by a relationship is fine; a
+    second explicit line for the same name is a duplicate.  Raises
+    ``ModelSyntaxError``, with its line number, for the first line in file
+    order that holds an unknown directive, a wrong operand count, a
+    misplaced or duplicate header, or a duplicate class.
     """
     name = ""
-    seen_header = False
-    declarations: list[Declaration] = []
+    nodes: set[str] = set()
+    explicit: set[str] = set()
+    edges: set[EdgeTuple] = set()
     for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         kind, *operands = line.split()
         if kind == "model":
-            if seen_header:
+            if name:
                 raise ModelSyntaxError("duplicate model header", lineno)
-            if declarations:
+            # Every other directive declares at least one class.
+            if nodes:
                 raise ModelSyntaxError("model header must be the first directive", lineno)
             if len(operands) != 1:
                 raise ModelSyntaxError("'model' expects exactly one name", lineno)
             name = operands[0]
-            seen_header = True
             continue
         arity = _ARITY.get(kind)
         if arity is None:
@@ -127,13 +75,14 @@ def scan_declarations(text: str) -> ModelDocument:
             raise ModelSyntaxError(
                 f"{kind!r} expects {arity} operand(s), got {len(operands)}", lineno
             )
-        declarations.append(Declaration(kind, tuple(operands), lineno))
-    return ModelDocument(name=name, declarations=tuple(declarations))
-
-
-def parse_model(text: str) -> ClassGraph:
-    """Parse model text into a graph; see ``scan_declarations`` for errors."""
-    return scan_declarations(text).to_graph()
+        if kind == "class":
+            if operands[0] in explicit:
+                raise ModelSyntaxError(f"duplicate class {operands[0]!r}", lineno)
+            explicit.add(operands[0])
+        else:
+            edges.add(make_edge(operands[0], operands[-1], _RELATION_FOR[kind]))
+        nodes.update(operands)
+    return ClassGraph(name=name, nodes=frozenset(nodes), edges=frozenset(edges))
 
 
 def _edge_directive(edge: EdgeTuple) -> str:

@@ -23,13 +23,7 @@ from .matcher import (
     Verdict,
 )
 
-__all__ = [
-    "OracleSizeError",
-    "DEFAULT_MAX_EDGES",
-    "DEFAULT_MAX_NODES",
-    "oracle_find_matches",
-    "oracle_detect",
-]
+__all__ = ["OracleSizeError", "oracle_find_matches", "oracle_detect"]
 
 DEFAULT_MAX_EDGES = 12
 DEFAULT_MAX_NODES = 8

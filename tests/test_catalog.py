@@ -74,6 +74,17 @@ def test_zero_edge_pattern_rejected(tmp_path):
         load_catalog(tmp_path)
 
 
+def test_disconnected_pattern_rejected(tmp_path):
+    (tmp_path / "split.cg").write_text("model split\nassoc a b\ngen c d\n", encoding="utf-8")
+    with pytest.raises(CatalogError, match="'split.cg': pattern is not weakly connected"):
+        load_catalog(tmp_path)
+
+
+def test_isolated_class_beside_a_connected_pattern_is_fine(tmp_path):
+    (tmp_path / "lonely.cg").write_text("assoc a b\nclass c\n", encoding="utf-8")
+    assert load_catalog(tmp_path).get("lonely").nodes == {"a", "b", "c"}
+
+
 def test_unparseable_entry_names_the_file(tmp_path):
     (tmp_path / "broken.cg").write_text("model broken\nassoc a\n", encoding="utf-8")
     with pytest.raises(CatalogError, match="broken.cg"):

@@ -319,6 +319,16 @@ def test_non_utf8_catalog_entry_exits_one_on_list(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["list", "detect"])
+def test_disconnected_catalog_entry_exits_one(capsys, tmp_path, sample_system_path, command):
+    (tmp_path / "split.cg").write_text("model split\nassoc a b\ngen c d\n", encoding="utf-8")
+    model = [str(sample_system_path)] if command == "detect" else []
+    code, out, err = run(capsys, command, *model, "--catalog", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == "dpdetect: error: catalog entry 'split.cg': pattern is not weakly connected\n"
+
+
 def test_unknown_pattern_exits_one_and_lists_names(capsys, sample_system_path):
     code, _, err = run(capsys, "detect", str(sample_system_path), "--pattern", "observer")
     assert code == 1

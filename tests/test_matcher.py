@@ -177,6 +177,29 @@ def test_disconnected_pattern_cannot_exist_completely():
     assert report.occurrences == 2
 
 
+@pytest.mark.parametrize(
+    "system",
+    [
+        edges(("x", "y", 1), ("u", "v", 2)),
+        # The same two pieces, joined into one component by a dependency.
+        edges(("x", "y", 1), ("u", "v", 2), ("y", "u", 2)),
+    ],
+    ids=["split", "joined"],
+)
+def test_disconnected_pattern_top_level_is_empty_without_a_search(monkeypatch, system):
+    pattern = edges(("p", "q", 1), ("r", "s", 2))
+    searched = []
+    original = matcher._embeddings
+
+    def counting(fragment, index):
+        searched.append(fragment)
+        return original(fragment, index)
+
+    monkeypatch.setattr(matcher, "_embeddings", counting)
+    assert find_matches(system, pattern, 2) == MatchTable(level=2)
+    assert searched == []
+
+
 def test_partial_fragments_must_be_connected():
     # Pattern is a connected three-edge chain; the two-edge fragment made of
     # its ends is disconnected and must not produce level-2 rows.

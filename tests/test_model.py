@@ -1,4 +1,4 @@
-"""Model text format: scanning, parsing, canonical rendering, round-trips."""
+"""Model text format: parsing, canonical rendering, round-trips."""
 
 import random
 import string
@@ -13,7 +13,6 @@ from dpdetect import (
     make_edge,
     parse_model,
     render_model,
-    scan_declarations,
 )
 from helpers import SAMPLE_SYSTEM, edges
 
@@ -72,6 +71,8 @@ def test_explicit_class_after_auto_declaration_is_fine():
         ("assoc a b c\n", 1),
         ("class a\nfriend a b\n", 2),
         ("class a\nclass a\n", 2),
+        # The first bad line in file order is reported.
+        ("class a\nclass a\nfriend a b\n", 2),
         ("model m\nclass a\nmodel m2\n", 3),
         ("class a\nmodel late\n", 2),
         ("model\n", 1),
@@ -147,14 +148,6 @@ def test_round_trip_on_random_graphs():
     for _ in range(60):
         graph = _random_graph(rng)
         assert parse_model(render_model(graph)) == graph
-
-
-def test_document_round_trip_preserves_declarations():
-    text = "model demo\nclass a\nassoc a b\nselfassoc b\ngen c a\n"
-    document = scan_declarations(text)
-    again = scan_declarations(document.render())
-    assert again.name == document.name
-    assert again.declarations == document.declarations
 
 
 def test_parse_then_graph_equivalence_between_fixtures(sample_system, sample_system_alt):
