@@ -2,9 +2,10 @@
 
 Pattern names are case-insensitive and stored lowercase.  User catalogs are
 directories of ``.cg`` files (or a single file); a user entry whose name
-collides with a built-in shadows it.  A user pattern's edges must form one
-weakly connected piece.  Isolated nodes in a pattern file are legal but never
-constrain matching, which works on edges alone.
+collides with a built-in shadows it.  Every pattern, whether loaded from a
+file or passed to ``PatternCatalog`` directly, needs at least one edge, and
+its edges must form one weakly connected piece.  Isolated nodes in a pattern
+file are legal but never constrain matching, which works on edges alone.
 """
 
 from __future__ import annotations
@@ -22,6 +23,20 @@ class CatalogError(ValueError):
     """A catalog path, entry or pattern definition is unusable."""
 
 
+def _pattern_fault(graph: ClassGraph) -> str | None:
+    """Why ``graph`` cannot be a catalog pattern, or None if it can.
+
+    A pattern needs at least one edge, and its edges must form one weakly
+    connected piece: a disconnected pattern could never exist completely,
+    because an injective map sends its parts onto node-disjoint edges.
+    """
+    if not graph.edges:
+        return "has no edges"
+    if not is_weakly_connected(graph.edges):
+        return "is not weakly connected"
+    return None
+
+
 @dataclass(frozen=True)
 class PatternCatalog:
     """Mapping from lowercase pattern name to its pattern graph."""
@@ -35,8 +50,9 @@ class PatternCatalog:
         for name, graph in self.entries.items():
             if name != name.lower():
                 raise CatalogError(f"catalog keys must be lowercase, got {name!r}")
-            if not graph.edges:
-                raise CatalogError(f"pattern {name!r} has no edges")
+            fault = _pattern_fault(graph)
+            if fault:
+                raise CatalogError(f"pattern {name!r} {fault}")
         unknown = self.user_names - set(self.entries)
         if unknown:
             raise CatalogError(f"user names missing from entries: {', '.join(sorted(unknown))}")
@@ -86,8 +102,7 @@ def load_catalog(source: str | Path | None = None) -> PatternCatalog:
     ``model`` header, falling back to the filename stem.  Raises
     ``CatalogError`` for unreadable paths, entries that are not UTF-8 or
     do not parse, duplicate user names, and patterns that have no edges or
-    are not weakly connected.  A disconnected pattern could never exist
-    completely, because its parts land on node-disjoint system edges.
+    are not weakly connected.
     """
     builtins = builtin_catalog()
     if source is None:
@@ -106,10 +121,9 @@ def load_catalog(source: str | Path | None = None) -> PatternCatalog:
         except (OSError, UnicodeDecodeError, ModelSyntaxError) as err:
             raise CatalogError(f"catalog entry {file.name!r}: {err}") from err
         name = (graph.name or file.stem).lower()
-        if not graph.edges:
-            raise CatalogError(f"catalog entry {file.name!r}: pattern has no edges")
-        if not is_weakly_connected(graph.edges):
-            raise CatalogError(f"catalog entry {file.name!r}: pattern is not weakly connected")
+        fault = _pattern_fault(graph)
+        if fault:
+            raise CatalogError(f"catalog entry {file.name!r}: pattern {fault}")
         if name in user:
             raise CatalogError(f"catalog entry {file.name!r}: duplicate pattern name {name!r}")
         user[name] = graph

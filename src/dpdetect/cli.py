@@ -23,21 +23,7 @@ from .matcher import DetectionReport, Verdict, check_table, detect
 from .model import ModelSyntaxError, parse_model
 from .oracle import OracleSizeError, oracle_detect
 
-__all__ = [
-    "CATALOG_ENV_VAR",
-    "EXIT_OK",
-    "EXIT_ERROR",
-    "EXIT_VERIFY_MISMATCH",
-    "ReportDocument",
-    "verdict_sentence",
-    "render_text",
-    "render_json",
-    "build_parser",
-    "cmd_detect",
-    "cmd_list",
-    "cmd_validate",
-    "main",
-]
+__all__ = ["main", "CATALOG_ENV_VAR", "ReportDocument", "render_json"]
 
 CATALOG_ENV_VAR = "DPDETECT_CATALOG"
 

@@ -25,15 +25,18 @@ that fragment's first embedding onto them in search order.  What remains
 costly on a wide star is enumerating the ``C(m, n)`` combinations and
 checking each one's connectivity and class, not the search.
 
-Each search first compiles its fragment into a static plan.
-``_search_order`` fixes the order in which its edges are placed, so which
-endpoints are already bound at each depth is known before the search
-starts: each step reads the exact-edge table when both ends are bound, the
-source or target bucket when one is, and the relation bucket when neither
-is, and it names the node slots it fills.  The search then checks a
-candidate only against the set of taken system nodes, at the endpoints its
-step binds, and undoes exactly those on backtracking.  The embeddings, and
-with them the witnesses, follow ``_search_order``, with each step's
+The system index is one table.  Each system edge is filed under the keys
+``(relation, self_loop, source, target)`` with either endpoint, both or
+neither replaced by ``""``, the wildcard for an endpoint the search has not
+bound; ``""`` can never be a node identifier.  Each search first compiles
+its fragment into a static plan with ``_plan``, which fixes the order in
+which its edges are placed, so which endpoints are already bound at each
+depth is known before the search starts.  Every step then finds its
+candidates with one lookup, keyed on its relation, its self-loop flag and
+its bound endpoints, and names the node slots it fills.  The search checks
+a candidate only against the set of taken system nodes, at the endpoints
+its step binds, and undoes exactly those on backtracking.  The embeddings,
+and with them the witnesses, follow the plan's order, with each step's
 candidates taken from sorted buckets.  The search yields only each
 embedding's image, aligned with the fragment; the node mapping of a row is
 rebuilt from the aligned edges, and only for an image not seen before.
@@ -61,7 +64,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import EdgeTuple, RelationKind, is_weakly_connected
+from .graph import EdgeTuple, is_weakly_connected
 
 __all__ = [
     "EmptyPatternError",
@@ -167,30 +170,36 @@ class DetectionReport:
         return len(self.table)
 
 
-class _SystemIndex:
-    """Candidate lookup tables over the system edge set.
+class _SystemIndex(dict):
+    """Candidate buckets over the system edge set, all in one table.
 
-    Buckets hold sorted tuples so iteration order is deterministic.  The
-    (relation, source, target) key of ``exact`` is unique because the
-    self-loop flag is determined by the endpoints; the other tables carry
-    the flag in the key so a non-loop pattern edge never sees loop
-    candidates.
+    Every system edge is filed under four keys of the same shape,
+    ``(relation, self_loop, source, target)``, in which ``""`` stands for
+    an endpoint the search has not bound: ``(r, l, "", "")``,
+    ``(r, l, s, "")``, ``(r, l, "", t)`` and ``(r, l, s, t)``.  ``""`` can
+    never be a node identifier, so the four kinds of key never collide.  A
+    search step therefore finds its candidates with one lookup, whichever
+    of its endpoints are bound.  Buckets hold sorted tuples so iteration
+    order is deterministic, and the self-loop flag in every key keeps a
+    non-loop pattern edge from seeing loop candidates.
     """
 
     def __init__(self, edges: frozenset[EdgeTuple]) -> None:
-        by_kind: dict[tuple[RelationKind, int], list[EdgeTuple]] = {}
-        by_source: dict[tuple[RelationKind, int, str], list[EdgeTuple]] = {}
-        by_target: dict[tuple[RelationKind, int, str], list[EdgeTuple]] = {}
-        exact: dict[tuple[RelationKind, str, str], EdgeTuple] = {}
+        buckets: dict[tuple, list[EdgeTuple] | tuple[EdgeTuple]] = {}
         for edge in sorted(edges):
-            by_kind.setdefault((edge.relation, edge.self_loop), []).append(edge)
-            by_source.setdefault((edge.relation, edge.self_loop, edge.source), []).append(edge)
-            by_target.setdefault((edge.relation, edge.self_loop, edge.target), []).append(edge)
-            exact[(edge.relation, edge.source, edge.target)] = edge
-        self.by_kind = {key: tuple(bucket) for key, bucket in by_kind.items()}
-        self.by_source = {key: tuple(bucket) for key, bucket in by_source.items()}
-        self.by_target = {key: tuple(bucket) for key, bucket in by_target.items()}
-        self.exact = exact
+            source, target, relation, self_loop = edge
+            # A tuple of plain ints and strings is one the cyclic garbage
+            # collector stops tracking, so keys hold the relation's int.
+            relation = int(relation)
+            for key in (
+                (relation, self_loop, "", ""),
+                (relation, self_loop, source, ""),
+                (relation, self_loop, "", target),
+            ):
+                buckets.setdefault(key, []).append(edge)
+            # Endpoints and relation determine the edge: a bucket of one.
+            buckets[relation, self_loop, source, target] = (edge,)
+        super().__init__((key, tuple(bucket)) for key, bucket in buckets.items())
 
 
 @functools.lru_cache(maxsize=1)
@@ -220,64 +229,41 @@ def _eligible_fragments(
             yield combination
 
 
-def _search_order(fragment: tuple[EdgeTuple, ...]) -> list[EdgeTuple]:
-    """Reorder fragment edges so each one touches the prefix when possible,
-    keeping candidate lists narrow during the search."""
-    remaining = list(fragment)
-    order: list[EdgeTuple] = []
-    placed: set[str] = set()
-    while remaining:
-        pick = None
-        if order:
-            for edge in remaining:
-                if edge.source in placed or edge.target in placed:
-                    pick = edge
-                    break
-        if pick is None:
-            pick = remaining[0]
-        remaining.remove(pick)
-        order.append(pick)
-        placed.update((pick.source, pick.target))
-    return order
-
-
-# Which index table a plan step reads, by which of its endpoints are bound.
-_EXACT, _BY_SOURCE, _BY_TARGET, _BY_KIND = range(4)
-
-
 def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[list[tuple], int]:
     """The static search plan for ``fragment`` and its number of node slots.
 
-    Step ``d`` places ``_search_order(fragment)[d]``.  Which of its
-    endpoints earlier steps have bound depends on the order alone, so each
-    step fixes in advance the table it reads and the slots it binds.  A
-    step is ``(lookup, relation, self_loop, source_slot, target_slot,
-    binds_source, binds_target, position)``: ``lookup`` is one of
-    ``_EXACT`` (both ends bound), ``_BY_SOURCE``, ``_BY_TARGET`` (one end
-    bound) or ``_BY_KIND`` (neither); ``binds_*`` say which endpoint slots
-    the step fills; ``position`` is the edge's index in ``fragment``.  A
-    self-loop binds its one slot as its source.
+    Edges are placed in the order that keeps candidate lists narrow: the
+    first remaining edge that touches a node placed before it, or else the
+    first remaining edge.  Which endpoints earlier steps have bound then
+    depends on the order alone, so each step fixes in advance the key it
+    looks up and the slots it fills.  A step is ``(relation, self_loop,
+    source_key, target_key, source_slot, target_slot, position)``:
+    ``relation`` is the int the index keys hold; ``*_key`` is the slot
+    whose node goes into the lookup key, slot 0 for an endpoint not yet
+    bound, which always holds ``""``; ``*_slot`` is the slot the step
+    binds, or None when the endpoint is bound already; ``position`` is the
+    edge's index in ``fragment``.  A self-loop binds its one slot as its
+    source.  Step 0 is a root that places nothing, so the first edge's
+    candidates are looked up like every later edge's.
     """
-    slots: dict[str, int] = {}
-    steps = []
-    for edge in _search_order(fragment):
-        source, target, relation, self_loop = edge
-        bound_source, bound_target = source in slots, target in slots
-        if bound_source and bound_target:
-            lookup = _EXACT
-        elif bound_source:
-            lookup = _BY_SOURCE
-        elif bound_target:
-            lookup = _BY_TARGET
+    slots = {"": 0}
+    remaining = list(enumerate(fragment))
+    # The first edge placed is fragment[0], so the root writes its image.
+    steps: list[tuple] = [(None, None, 0, 0, None, None, 0)]
+    while remaining:
+        for pick, (_, edge) in enumerate(remaining):
+            if edge[0] in slots or edge[1] in slots:
+                break
         else:
-            lookup = _BY_KIND
-        binds_source = not bound_source
-        binds_target = not bound_target and target != source
-        source_slot = slots.setdefault(source, len(slots))
-        target_slot = slots.setdefault(target, len(slots))
+            pick = 0
+        position, (source, target, relation, self_loop) = remaining.pop(pick)
+        source_key, target_key = slots.get(source, 0), slots.get(target, 0)
+        source_slot = None if source_key else slots.setdefault(source, len(slots))
+        target_slot = (
+            None if target_key or target == source else slots.setdefault(target, len(slots))
+        )
         steps.append(
-            (lookup, relation, self_loop, source_slot, target_slot,
-             binds_source, binds_target, fragment.index(edge))
+            (int(relation), self_loop, source_key, target_key, source_slot, target_slot, position)
         )
     return steps, len(slots)
 
@@ -303,26 +289,26 @@ def _embeddings(
     nodes = [""] * slot_count
     taken: set[str] = set()
     images = list(fragment)
-    by_kind, by_source, by_target, exact = (
-        index.by_kind, index.by_source, index.by_target, index.exact
-    )
-    # pending[d] holds the untried candidates of step d.  images[position]
+    lookup = index.get
+    # pending[d] holds the untried candidates of step d; the root's one
+    # placeholder is overwritten by the first edge's image.  images[position]
     # is rewritten whenever its step places a candidate, so at a yield it
-    # holds the current path only.
-    pending = [iter(by_kind.get(steps[0][1:3], ()))]
+    # holds the current path only.  Bound slots are never 0, so a slot is
+    # true exactly when its step binds it.
+    pending = [iter((None,))]
     while pending:
         depth = len(pending) - 1
-        _, _, _, source_slot, target_slot, binds_source, binds_target, position = steps[depth]
+        _, _, _, _, source_slot, target_slot, position = steps[depth]
         for edge in pending[depth]:
-            if binds_source:
-                if edge[0] in taken or (binds_target and edge[1] in taken):
+            if source_slot:
+                if edge[0] in taken or (target_slot and edge[1] in taken):
                     continue
                 nodes[source_slot] = edge[0]
                 taken.add(edge[0])
-                if binds_target:
+                if target_slot:
                     nodes[target_slot] = edge[1]
                     taken.add(edge[1])
-            elif binds_target:
+            elif target_slot:
                 if edge[1] in taken:
                     continue
                 nodes[target_slot] = edge[1]
@@ -331,32 +317,26 @@ def _embeddings(
             if depth == last:
                 yield tuple(images)
             else:
-                lookup, relation, self_loop, source, target, _, _, _ = steps[depth + 1]
-                if lookup == _EXACT:
-                    hit = exact.get((relation, nodes[source], nodes[target]))
-                    candidates = () if hit is None else (hit,)
-                elif lookup == _BY_SOURCE:
-                    candidates = by_source.get((relation, self_loop, nodes[source]), ())
-                elif lookup == _BY_TARGET:
-                    candidates = by_target.get((relation, self_loop, nodes[target]), ())
-                else:
-                    candidates = by_kind.get((relation, self_loop), ())
+                relation, self_loop, source_key, target_key, _, _, _ = steps[depth + 1]
+                candidates = lookup(
+                    (relation, self_loop, nodes[source_key], nodes[target_key]), ()
+                )
                 if candidates:
                     pending.append(iter(candidates))
                     break
             # A yielded embedding or a next step without candidates: undo
             # this step's bindings and try its next candidate.
-            if binds_source:
+            if source_slot:
                 taken.discard(edge[0])
-            if binds_target:
+            if target_slot:
                 taken.discard(edge[1])
         else:
             pending.pop()
             if depth:
-                _, _, _, source_slot, target_slot, binds_source, binds_target, _ = steps[depth - 1]
-                if binds_source:
+                _, _, _, _, source_slot, target_slot, _ = steps[depth - 1]
+                if source_slot:
                     taken.discard(nodes[source_slot])
-                if binds_target:
+                if target_slot:
                     taken.discard(nodes[target_slot])
 
 

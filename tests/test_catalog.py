@@ -2,7 +2,14 @@
 
 import pytest
 
-from dpdetect import CatalogError, builtin_catalog, load_catalog, render_model
+from dpdetect import (
+    CatalogError,
+    ClassGraph,
+    PatternCatalog,
+    builtin_catalog,
+    load_catalog,
+    render_model,
+)
 from helpers import edges
 
 
@@ -78,6 +85,15 @@ def test_disconnected_pattern_rejected(tmp_path):
     (tmp_path / "split.cg").write_text("model split\nassoc a b\ngen c d\n", encoding="utf-8")
     with pytest.raises(CatalogError, match="'split.cg': pattern is not weakly connected"):
         load_catalog(tmp_path)
+
+
+def test_direct_catalog_applies_the_same_pattern_rules():
+    split = ClassGraph.from_edges("split", edges(("a", "b", 1), ("c", "d", 3)))
+    with pytest.raises(CatalogError, match="pattern 'x' is not weakly connected"):
+        PatternCatalog(entries={"x": split})
+    hollow = ClassGraph("hollow", frozenset({"a"}), frozenset())
+    with pytest.raises(CatalogError, match="pattern 'x' has no edges"):
+        PatternCatalog(entries={"x": hollow})
 
 
 def test_isolated_class_beside_a_connected_pattern_is_fine(tmp_path):

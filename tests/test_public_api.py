@@ -1,9 +1,11 @@
 """The public surface: ``dpdetect.__all__`` names exactly what the CLI and
-the documented library API use, and nothing else."""
+the documented library API use, and nothing else; ``dpdetect.cli.__all__``
+names only what is used outside ``cli.py``."""
 
 import importlib
 
 import dpdetect
+import dpdetect.cli
 
 PUBLIC = {
     "__version__",
@@ -36,6 +38,8 @@ PUBLIC = {
     "oracle_detect",
 }
 
+CLI_PUBLIC = {"main", "CATALOG_ENV_VAR", "ReportDocument", "render_json"}
+
 REMOVED = {
     "Declaration",
     "ModelDocument",
@@ -50,6 +54,11 @@ REMOVED = {
 def test_all_is_the_agreed_surface():
     assert len(dpdetect.__all__) == len(PUBLIC)
     assert set(dpdetect.__all__) == PUBLIC
+
+
+def test_cli_all_is_what_other_modules_use():
+    assert len(dpdetect.cli.__all__) == len(CLI_PUBLIC)
+    assert set(dpdetect.cli.__all__) == CLI_PUBLIC
 
 
 def test_every_public_name_imports():
