@@ -96,7 +96,7 @@ def render_json(document: ReportDocument) -> str:
             text = edge_text.get(edge)
             if text is None:
                 fields = [_string(edge.source), _string(edge.target),
-                          str(int(edge.relation)), str(edge.self_loop)]
+                          str(edge.relation), str(edge.self_loop)]
                 text = edge_text[edge] = _block(fields, " " * 12, "[", "]")
             items.append(text)
         return _block(items, " " * 10, f'"{key}": [', "]")
@@ -192,6 +192,18 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
+def _write(text: str) -> bool:
+    """Write ``text`` to stdout and flush it, or report one error line and
+    return False when stdout cannot take it."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as err:
+        _fail(f"cannot write the report: {err.strerror or err}")
+        return False
+    return True
+
+
 def _resolve_catalog(argument: str | None) -> PatternCatalog:
     source = argument or os.environ.get(CATALOG_ENV_VAR) or None
     return load_catalog(source)
@@ -273,7 +285,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
         tool_version=__version__,
         catalog_names=tuple(catalog.names()),
     )
-    sys.stdout.write(render_json(document) if args.format == "json" else render_text(document))
+    if not _write(render_json(document) if args.format == "json" else render_text(document)):
+        return EXIT_ERROR
     return EXIT_VERIFY_MISMATCH if failed else EXIT_OK
 
 
@@ -284,33 +297,29 @@ def cmd_list(args: argparse.Namespace) -> int:
         return _fail(str(err))
     names = catalog.names()
     width = max(len(name) for name in names)
+    lines = []
     for name in names:
         graph = catalog.get(name)
         origin = "user" if catalog.is_user_defined(name) else "builtin"
-        print(f"{name:<{width}}  nodes={len(graph.nodes)} edges={len(graph.edges)} [{origin}]")
-    return EXIT_OK
+        counts = f"nodes={len(graph.nodes)} edges={len(graph.edges)}"
+        lines.append(f"{name:<{width}}  {counts} [{origin}]")
+    return EXIT_OK if _write("\n".join(lines) + "\n") else EXIT_ERROR
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     graph = _read_model(args.model)
     if graph is None:
         return EXIT_ERROR
-    relation_counts = Counter(edge.relation for edge in graph.edges)
-    loops = sum(edge.self_loop for edge in graph.edges)
-    if graph.name:
-        print(f"model: {graph.name}")
-    print(f"nodes: {len(graph.nodes)}")
-    print(
-        "edges: {total} (assoc={a} dep={d} gen={g})".format(
-            total=len(graph.edges),
-            a=relation_counts.get(RelationKind.ASSOCIATION, 0),
-            d=relation_counts.get(RelationKind.DEPENDENCY, 0),
-            g=relation_counts.get(RelationKind.GENERALIZATION, 0),
-        )
-    )
-    print(f"self-loops: {loops}")
-    print("valid")
-    return EXIT_OK
+    counts = Counter(edge.relation for edge in graph.edges)
+    assoc, dep, gen = (counts[kind] for kind in RelationKind)
+    lines = [f"model: {graph.name}"] if graph.name else []
+    lines += [
+        f"nodes: {len(graph.nodes)}",
+        f"edges: {len(graph.edges)} (assoc={assoc} dep={dep} gen={gen})",
+        f"self-loops: {sum(edge.self_loop for edge in graph.edges)}",
+        "valid",
+    ]
+    return EXIT_OK if _write("\n".join(lines) + "\n") else EXIT_ERROR
 
 
 def main(argv: list[str] | None = None) -> int:

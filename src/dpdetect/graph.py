@@ -39,7 +39,7 @@ class EmptyEdgeSetError(ValueError):
 
 
 class RelationKind(IntEnum):
-    """Relationship codes carried by class-model edges."""
+    """Names for the relation codes that class-model edges carry."""
 
     ASSOCIATION = 1
     DEPENDENCY = 2
@@ -51,7 +51,7 @@ def _check_identifier(value: str, what: str = "node identifier") -> str:
     # format unchanged, hence the character restrictions.
     if not isinstance(value, str) or not value:
         raise InvalidNodeError(f"{what} must be a non-empty string")
-    if "#" in value or any(ch.isspace() for ch in value):
+    if "#" in value or value.split() != [value]:
         raise InvalidNodeError(f"{what} {value!r} may not contain whitespace or '#'")
     return value
 
@@ -63,8 +63,14 @@ class EdgeTuple(tuple):
     ordering run in C, and an edge compares equal to its ``as_tuple()``
     form.  Ordering is lexicographic over the four fields, which doubles as
     the canonical edge order wherever output must be deterministic.
-    ``self_loop`` is derived from the endpoints (1 iff source == target) and
-    cannot be supplied by callers, so an inconsistent flag is unrepresentable.
+    ``relation`` is accepted as ``RelationKind`` accepts it and stored as
+    the plain ``int`` code, which the members of ``RelationKind`` compare
+    equal to.  Tuples built from an edge's fields, such as the matcher's
+    index keys, then hold only ``str`` and ``int``, and the cyclic garbage
+    collector stops tracking such tuples; an edge itself, a ``tuple``
+    subclass, stays tracked either way.  ``self_loop`` is derived from the
+    endpoints (1 iff source == target) and cannot be supplied by callers,
+    so an inconsistent flag is unrepresentable.
     """
 
     __slots__ = ()
@@ -73,15 +79,15 @@ class EdgeTuple(tuple):
         _check_identifier(source)
         _check_identifier(target)
         return tuple.__new__(
-            cls, (source, target, RelationKind(relation), 1 if source == target else 0)
+            cls, (source, target, int(RelationKind(relation)), 1 if source == target else 0)
         )
 
-    def __getnewargs__(self) -> tuple[str, str, RelationKind]:
+    def __getnewargs__(self) -> tuple[str, str, int]:
         return self[:3]
 
     source = property(itemgetter(0), doc="Source class identifier.")
     target = property(itemgetter(1), doc="Target class identifier.")
-    relation = property(itemgetter(2), doc="Relationship kind.")
+    relation = property(itemgetter(2), doc="Relation code: 1, 2 or 3.")
     self_loop = property(itemgetter(3), doc="1 iff source == target, else 0.")
 
     def __repr__(self) -> str:
@@ -91,7 +97,7 @@ class EdgeTuple(tuple):
         )
 
     def as_tuple(self) -> tuple[str, str, int, int]:
-        return (self[0], self[1], int(self[2]), self[3])
+        return tuple(self)
 
 
 def make_edge(source: str, target: str, relation: RelationKind | int) -> EdgeTuple:

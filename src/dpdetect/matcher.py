@@ -9,10 +9,10 @@ system subset at the winning level is reported as one occurrence.
 
 Levels are tried from the full pattern size downward: a hit at the top
 level means the pattern exists completely, a hit below it means partial
-existence, and no hit at any level means absence.  Below the top level
-only fragments that are themselves weakly connected are eligible, so a
-partial occurrence is always a coherent piece of the pattern rather than
-scattered edges.
+existence, and no hit at any level means absence.  At every level only
+fragments that are themselves weakly connected are eligible, so a partial
+occurrence is always a coherent piece of the pattern rather than scattered
+edges.
 
 Fragments are walked in canonical order (sorted ``itertools.combinations``
 of the sorted pattern edges) and sorted into typed-isomorphism classes as
@@ -39,15 +39,18 @@ its step binds, and undoes exactly those on backtracking.  The embeddings,
 and with them the witnesses, follow the plan's order, with each step's
 candidates taken from sorted buckets.  The search yields only each
 embedding's image, aligned with the fragment; the node mapping of a row is
-rebuilt from the aligned edges, and only for an image not seen before.
+rebuilt from the aligned edges, and only for an image not seen before.  It
+is kept in the order it was built; ``render_json`` sorts it, where order
+becomes bytes.
 
 The system index is cached for the most recent system edge set, so all
 levels of all patterns run against one model share a single index.  The
 image of a connected fragment is connected, so matched images need no
 connectivity check of their own.  A disconnected pattern has no connected
 image, because an injective map sends its components onto node-disjoint
-edges, so its top level is empty without a search and it is at best
-partial.  User catalogs reject such patterns outright.
+edges.  Its top level has no eligible fragment, so it is empty without a
+search and the pattern is at best partial.  User catalogs reject such
+patterns outright.
 
 Rows are built from embeddings the search has already checked, so
 ``MatchRow`` and ``MatchTable`` are plain records that do not re-validate
@@ -137,33 +140,27 @@ class MatchTable:
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Outcome of matching one pattern against one system edge set."""
+    """Outcome of matching one pattern against one system edge set.
+
+    The verdict and the level are read off the table, so they cannot
+    disagree with it: no rows means absent, rows at ``pattern_size`` mean
+    complete, and rows below it mean partial.
+    """
 
     pattern_name: str
-    verdict: Verdict
     pattern_size: int
     table: MatchTable
 
-    def __post_init__(self) -> None:
-        if self.pattern_size < 1:
-            raise ValueError("pattern_size must be at least 1")
-        rows = len(self.table)
-        level = self.table.level
-        consistent = (
-            (self.verdict is Verdict.COMPLETE and level == self.pattern_size and rows >= 1)
-            or (self.verdict is Verdict.PARTIAL and 0 < level < self.pattern_size and rows >= 1)
-            or (self.verdict is Verdict.ABSENT and level == 0 and rows == 0)
-        )
-        if not consistent:
-            raise ValueError(
-                f"verdict {self.verdict.value!r} is inconsistent with "
-                f"level {level} and {rows} row(s)"
-            )
+    @property
+    def verdict(self) -> Verdict:
+        if not self.table.rows:
+            return Verdict.ABSENT
+        return Verdict.COMPLETE if self.table.level == self.pattern_size else Verdict.PARTIAL
 
     @property
     def level(self) -> int | None:
         """Matched level, or None when the pattern is absent."""
-        return self.table.level if self.verdict is not Verdict.ABSENT else None
+        return self.table.level if self.table.rows else None
 
     @property
     def occurrences(self) -> int:
@@ -188,9 +185,6 @@ class _SystemIndex(dict):
         buckets: dict[tuple, list[EdgeTuple] | tuple[EdgeTuple]] = {}
         for edge in sorted(edges):
             source, target, relation, self_loop = edge
-            # A tuple of plain ints and strings is one the cyclic garbage
-            # collector stops tracking, so keys hold the relation's int.
-            relation = int(relation)
             for key in (
                 (relation, self_loop, "", ""),
                 (relation, self_loop, source, ""),
@@ -216,15 +210,12 @@ def _eligible_fragments(
 ) -> Iterator[tuple[EdgeTuple, ...]]:
     """Size-``n`` pattern fragments eligible at level ``n``, canonical order.
 
-    Every eligible fragment is weakly connected.  At the top level the
-    only fragment is the whole pattern, whose connectivity ``find_matches``
-    has already checked.
+    Every eligible fragment is weakly connected, at every level.  At the
+    top level the only combination is the whole pattern, so a disconnected
+    pattern has no eligible fragment there, and its connectivity is tested
+    once.
     """
-    ordered = tuple(sorted(pattern))
-    if n == len(ordered):
-        yield ordered
-        return
-    for combination in itertools.combinations(ordered, n):
+    for combination in itertools.combinations(sorted(pattern), n):
         if is_weakly_connected(combination):
             yield combination
 
@@ -238,7 +229,7 @@ def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[list[tuple], int]:
     depends on the order alone, so each step fixes in advance the key it
     looks up and the slots it fills.  A step is ``(relation, self_loop,
     source_key, target_key, source_slot, target_slot, position)``:
-    ``relation`` is the int the index keys hold; ``*_key`` is the slot
+    ``relation`` is the edge's relation code; ``*_key`` is the slot
     whose node goes into the lookup key, slot 0 for an endpoint not yet
     bound, which always holds ``""``; ``*_slot`` is the slot the step
     binds, or None when the endpoint is bound already; ``position`` is the
@@ -263,7 +254,7 @@ def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[list[tuple], int]:
             None if target_key or target == source else slots.setdefault(target, len(slots))
         )
         steps.append(
-            (int(relation), self_loop, source_key, target_key, source_slot, target_slot, position)
+            (relation, self_loop, source_key, target_key, source_slot, target_slot, position)
         )
     return steps, len(slots)
 
@@ -382,8 +373,9 @@ def find_matches(
     ``system_edges`` onto which some eligible size-``n`` pattern fragment
     maps injectively, together with one witnessing alignment.  Rows come
     back canonically ordered; a disconnected pattern has none at its top
-    level.  Raises ``LevelOutOfRangeError`` when ``n`` is not in
-    1..|pattern| and ``EmptyPatternError`` for an edgeless pattern.
+    level, where its only fragment is not eligible.  Raises
+    ``LevelOutOfRangeError`` when ``n`` is not in 1..|pattern| and
+    ``EmptyPatternError`` for an edgeless pattern.
     """
     system = frozenset(system_edges)
     pattern = frozenset(pattern_edges)
@@ -391,9 +383,7 @@ def find_matches(
         raise EmptyPatternError("pattern has no edges")
     if not 0 < n <= len(pattern):
         raise LevelOutOfRangeError(f"level must be in 1..{len(pattern)}, got {n}")
-    # At the top level the fragment is the whole pattern.  If it is
-    # disconnected, no injective map gives it a connected image.
-    if len(system) < n or (n == len(pattern) and not is_weakly_connected(pattern)):
+    if len(system) < n:
         return MatchTable(level=n)
     index = _system_index(system)
     found: dict[frozenset[EdgeTuple], MatchRow] = {}
@@ -419,11 +409,7 @@ def find_matches(
             for pattern_edge, system_edge in zip(fragment, system_images):
                 mapping[pattern_edge[0]] = system_edge[0]
                 mapping[pattern_edge[1]] = system_edge[1]
-            found[key] = MatchRow(
-                pattern_edges=fragment,
-                system_edges=system_images,
-                mapping=dict(sorted(mapping.items())),
-            )
+            found[key] = MatchRow(fragment, system_images, mapping)
     rows = tuple(sorted(found.values(), key=MatchRow.system_key))
     return MatchTable(level=n, rows=rows)
 
@@ -446,9 +432,8 @@ def detect(
     for level in range(len(pattern), 0, -1):
         table = find_matches(system, pattern, level)
         if table.rows:
-            verdict = Verdict.COMPLETE if level == len(pattern) else Verdict.PARTIAL
-            return DetectionReport(pattern_name, verdict, len(pattern), table)
-    return DetectionReport(pattern_name, Verdict.ABSENT, len(pattern), MatchTable(level=0))
+            return DetectionReport(pattern_name, len(pattern), table)
+    return DetectionReport(pattern_name, len(pattern), MatchTable(level=0))
 
 
 def check_table(

@@ -27,15 +27,17 @@ class ModelSyntaxError(ValueError):
         self.line = line
 
 
-# ``selfassoc x`` is ``assoc x x``: an edge runs from the first operand to
-# the last.
-_RELATION_FOR = {
-    "assoc": RelationKind.ASSOCIATION,
-    "selfassoc": RelationKind.ASSOCIATION,
-    "dep": RelationKind.DEPENDENCY,
-    "gen": RelationKind.GENERALIZATION,
+# Each directive word with its operand count and the relation code of the
+# edge it adds.  ``selfassoc x`` is ``assoc x x``: an edge runs from the
+# first operand to the last.
+_DIRECTIVES = {
+    "class": (1, None),
+    "selfassoc": (1, RelationKind.ASSOCIATION),
+    "assoc": (2, RelationKind.ASSOCIATION),
+    "dep": (2, RelationKind.DEPENDENCY),
+    "gen": (2, RelationKind.GENERALIZATION),
 }
-_ARITY = {"class": 1, "selfassoc": 1, "assoc": 2, "dep": 2, "gen": 2}
+_WORD_FOR = {relation: word for word, (arity, relation) in _DIRECTIVES.items() if arity == 2}
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
@@ -68,32 +70,27 @@ def parse_model(text: str) -> ClassGraph:
                 raise ModelSyntaxError("'model' expects exactly one name", lineno)
             name = operands[0]
             continue
-        arity = _ARITY.get(kind)
-        if arity is None:
+        if kind not in _DIRECTIVES:
             raise ModelSyntaxError(f"unknown directive {kind!r}", lineno)
+        arity, relation = _DIRECTIVES[kind]
         if len(operands) != arity:
             raise ModelSyntaxError(
                 f"{kind!r} expects {arity} operand(s), got {len(operands)}", lineno
             )
-        if kind == "class":
+        if relation is None:
             if operands[0] in explicit:
                 raise ModelSyntaxError(f"duplicate class {operands[0]!r}", lineno)
             explicit.add(operands[0])
         else:
-            edges.add(make_edge(operands[0], operands[-1], _RELATION_FOR[kind]))
+            edges.add(make_edge(operands[0], operands[-1], relation))
         nodes.update(operands)
     return ClassGraph(name=name, nodes=frozenset(nodes), edges=frozenset(edges))
 
 
 def _edge_directive(edge: EdgeTuple) -> str:
-    if edge.relation is RelationKind.ASSOCIATION and edge.self_loop:
+    if edge.relation == RelationKind.ASSOCIATION and edge.self_loop:
         return f"selfassoc {edge.source}"
-    word = {
-        RelationKind.ASSOCIATION: "assoc",
-        RelationKind.DEPENDENCY: "dep",
-        RelationKind.GENERALIZATION: "gen",
-    }[edge.relation]
-    return f"{word} {edge.source} {edge.target}"
+    return f"{_WORD_FOR[edge.relation]} {edge.source} {edge.target}"
 
 
 def render_model(graph: ClassGraph) -> str:

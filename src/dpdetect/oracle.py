@@ -20,7 +20,6 @@ from .matcher import (
     LevelOutOfRangeError,
     MatchRow,
     MatchTable,
-    Verdict,
 )
 
 __all__ = ["OracleSizeError", "oracle_find_matches", "oracle_detect"]
@@ -129,6 +128,5 @@ def oracle_detect(
             system, pattern, level, max_edges=max_edges, max_nodes=max_nodes
         )
         if table.rows:
-            verdict = Verdict.COMPLETE if level == len(pattern) else Verdict.PARTIAL
-            return DetectionReport(pattern_name, verdict, len(pattern), table)
-    return DetectionReport(pattern_name, Verdict.ABSENT, len(pattern), MatchTable(level=0))
+            return DetectionReport(pattern_name, len(pattern), table)
+    return DetectionReport(pattern_name, len(pattern), MatchTable(level=0))

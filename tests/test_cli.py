@@ -358,9 +358,7 @@ def test_verify_agreement_exits_zero(capsys, sample_system_path):
 
 def test_verify_mismatch_exits_two(capsys, sample_system_path, monkeypatch):
     def contrarian(system_edges, pattern_edges, pattern_name="", **kwargs):
-        return DetectionReport(
-            pattern_name, Verdict.ABSENT, len(frozenset(pattern_edges)), MatchTable(level=0)
-        )
+        return DetectionReport(pattern_name, len(frozenset(pattern_edges)), MatchTable(level=0))
 
     monkeypatch.setattr(cli, "oracle_detect", contrarian)
     code, out, err = run(
@@ -394,7 +392,7 @@ def test_verify_checks_rows_past_the_oracle_guard(capsys, tmp_path, monkeypatch)
             system_edges=(make_edge("n0", "n2", 1),),
             mapping={"P": "n0", "Q": "n2"},
         )
-        return DetectionReport(pattern_name, Verdict.COMPLETE, 1, MatchTable(1, (row,)))
+        return DetectionReport(pattern_name, 1, MatchTable(1, (row,)))
 
     monkeypatch.setattr(cli, "detect", unsound)
     code, out, err = run(capsys, "detect", str(big), "--pattern", "facade", "--verify")
@@ -433,3 +431,25 @@ def test_module_invocation_is_deterministic(sample_system_path):
     assert first.stdout == second.stdout
     assert COMPLETE_3 not in first.stdout  # json mode, not text
     assert json.loads(first.stdout)["model"] == "sample-system"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "{model}"],
+        ["detect", "{model}", "--format", "json"],
+        ["list"],
+        ["validate", "{model}"],
+    ],
+    ids=["detect-text", "detect-json", "list", "validate"],
+)
+def test_failed_report_write_is_one_error_line(argv, sample_system_path):
+    command = [sys.executable, "-m", "dpdetect"]
+    command += [arg.format(model=sample_system_path) for arg in argv]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("dpdetect: error: cannot write the report: ")

@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 
@@ -49,6 +50,25 @@ def test_relation_codes_are_exactly_three():
         make_edge("a", "b", 4)
     with pytest.raises(ValueError):
         make_edge("a", "b", 0)
+
+
+def test_edges_store_the_plain_relation_code():
+    edge = make_edge("a", "b", RelationKind.DEPENDENCY)
+    assert type(edge[2]) is int and type(edge.relation) is int
+    assert edge.relation == RelationKind.DEPENDENCY
+
+
+@pytest.mark.parametrize(
+    "relation", [1, 3, RelationKind.DEPENDENCY, True, 2.0, 0, 4, 1.5, "1", None, [1]]
+)
+def test_edges_accept_what_relation_kind_accepts(relation):
+    try:
+        expected = int(RelationKind(relation))
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            make_edge("a", "b", relation)
+    else:
+        assert make_edge("a", "b", relation).relation == expected
 
 
 def test_edges_have_set_semantics():

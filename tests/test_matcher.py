@@ -526,12 +526,19 @@ def test_row_check_rejects_each_corruption(corruption):
         check_table(corrupt(table), system, pattern)
 
 
-def test_report_verdict_partition_is_enforced():
-    table = find_matches(SAMPLE_SYSTEM, CATALOG.get("facade").edges, 1)
-    with pytest.raises(ValueError):
-        DetectionReport("facade", Verdict.ABSENT, 1, table)
-    with pytest.raises(ValueError):
-        DetectionReport("facade", Verdict.PARTIAL, 1, table)
+def test_report_verdict_and_level_are_read_off_the_table():
+    facade = find_matches(SAMPLE_SYSTEM, CATALOG.get("facade").edges, 1)
+    composite = find_matches(SAMPLE_SYSTEM, CATALOG.get("composite").edges, 2)
+    reports = [
+        (DetectionReport("facade", 1, facade), Verdict.COMPLETE, 1, 3),
+        (DetectionReport("composite", 3, composite), Verdict.PARTIAL, 2, 3),
+        (DetectionReport("composite", 3, MatchTable(level=0)), Verdict.ABSENT, None, 0),
+    ]
+    for report, verdict, level, occurrences in reports:
+        assert (report.verdict, report.level, report.occurrences) == (verdict, level, occurrences)
+    assert [field.name for field in dataclasses.fields(DetectionReport)] == [
+        "pattern_name", "pattern_size", "table",
+    ]
 
 
 def test_pattern_needing_a_missing_relation_matches_oracle():
