@@ -49,7 +49,6 @@ class ReportDocument:
 
     model_name: str
     results: tuple[DetectionReport, ...]
-    tool_version: str
     catalog_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -125,7 +124,7 @@ def render_json(document: ReportDocument) -> str:
     catalog = [_string(name) for name in document.catalog_names]
     return _block([
         '"model": ' + _string(document.model_name),
-        '"tool_version": ' + _string(document.tool_version),
+        '"tool_version": ' + _string(__version__),
         _block(catalog, "  ", '"catalog": [', "]"),
         _block(results, "  ", '"results": [', "]"),
     ], "", "{", "}\n")
@@ -282,7 +281,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     document = ReportDocument(
         model_name=model.name,
         results=tuple(results),
-        tool_version=__version__,
         catalog_names=tuple(catalog.names()),
     )
     if not _write(render_json(document) if args.format == "json" else render_text(document)):
@@ -327,9 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        if exc.code is None:
-            return EXIT_OK
-        return exc.code if isinstance(exc.code, int) else EXIT_ERROR
+        return exc.code
     if args.command == "detect":
         return cmd_detect(args)
     if args.command == "list":

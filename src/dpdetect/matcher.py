@@ -38,10 +38,9 @@ a candidate only against the set of taken system nodes, at the endpoints
 its step binds, and undoes exactly those on backtracking.  The embeddings,
 and with them the witnesses, follow the plan's order, with each step's
 candidates taken from sorted buckets.  The search yields only each
-embedding's image, aligned with the fragment; the node mapping of a row is
-rebuilt from the aligned edges, and only for an image not seen before.  It
-is kept in the order it was built; ``render_json`` sorts it, where order
-becomes bytes.
+embedding's image, aligned with the fragment, and a row stores just that
+alignment.  Its node mapping is read off the aligned edges on demand, in
+fragment order; ``render_json`` sorts it, where order becomes bytes.
 
 The system index is cached for the most recent system edge set, so all
 levels of all patterns run against one model share a single index.  The
@@ -102,15 +101,27 @@ class Verdict(Enum):
 class MatchRow:
     """One occurrence: pattern edges aligned position-wise with system edges.
 
-    ``system_edges[i]`` is the image of ``pattern_edges[i]`` under
-    ``mapping``.  Rows are identified by their system edge set; the stored
-    alignment is one witness for it.  The record does not check itself;
-    ``check_table`` states and checks every row rule.
+    ``system_edges[i]`` is the image of ``pattern_edges[i]``, and the
+    alignment is all a row stores: its node mapping is read off it.  Rows
+    are identified by their system edge set; the alignment is one witness
+    for it.  The record does not check itself; ``check_table`` states and
+    checks every row rule.
     """
 
     pattern_edges: tuple[EdgeTuple, ...]
     system_edges: tuple[EdgeTuple, ...]
-    mapping: dict[str, str]
+
+    @property
+    def mapping(self) -> dict[str, str]:
+        """Each pattern node's system node, read off the aligned edges in
+        fragment order and built anew on every read.  A pattern node sent
+        to two system nodes keeps the last one, so the alignment rule of
+        ``check_table`` catches it."""
+        mapping = {}
+        for pattern_edge, system_edge in zip(self.pattern_edges, self.system_edges):
+            mapping[pattern_edge[0]] = system_edge[0]
+            mapping[pattern_edge[1]] = system_edge[1]
+        return mapping
 
     def system_key(self) -> tuple[EdgeTuple, ...]:
         """Canonical identity of the row: its system edges in sorted order."""
@@ -403,13 +414,8 @@ def find_matches(
             continue
         for system_images in _embeddings(fragment, index):
             key = frozenset(system_images)
-            if key in found:
-                continue
-            mapping = {}
-            for pattern_edge, system_edge in zip(fragment, system_images):
-                mapping[pattern_edge[0]] = system_edge[0]
-                mapping[pattern_edge[1]] = system_edge[1]
-            found[key] = MatchRow(fragment, system_images, mapping)
+            if key not in found:
+                found[key] = MatchRow(fragment, system_images)
     rows = tuple(sorted(found.values(), key=MatchRow.system_key))
     return MatchTable(level=n, rows=rows)
 
@@ -460,6 +466,7 @@ def check_table(
     if level == 0 and table.rows:
         raise ValueError("a level-0 table cannot have rows")
     for number, row in enumerate(table.rows, 1):
+        mapping = row.mapping
         if len(row.pattern_edges) != level or len(row.system_edges) != level:
             broken = "every row must match exactly `level` edges"
         elif not pattern.issuperset(row.pattern_edges):
@@ -468,10 +475,10 @@ def check_table(
             broken = "system edges must come from the system"
         elif len(set(row.system_edges)) != level:
             broken = "system edges within a row must be distinct"
-        elif len(set(row.mapping.values())) != len(row.mapping):
+        elif len(set(mapping.values())) != len(mapping):
             broken = "node mapping must be injective"
         elif any(
-            (row.mapping.get(p.source), row.mapping.get(p.target), p.relation, p.self_loop) != s
+            (mapping.get(p.source), mapping.get(p.target), p.relation, p.self_loop) != s
             for p, s in zip(row.pattern_edges, row.system_edges)
         ):
             broken = "mapping does not align pattern edges with system edges"

@@ -101,11 +101,7 @@ def oracle_find_matches(
                 key = frozenset(images)
                 if len(key) != n or key in found or not _connected(images):
                     continue
-                found[key] = MatchRow(
-                    pattern_edges=fragment,
-                    system_edges=tuple(images),
-                    mapping=assignment,
-                )
+                found[key] = MatchRow(fragment, tuple(images))
     rows = tuple(sorted(found.values(), key=MatchRow.system_key))
     return MatchTable(level=n, rows=rows)
 

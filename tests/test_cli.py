@@ -129,7 +129,7 @@ def _reference_dict(document):
 
     return {
         "model": document.model_name,
-        "tool_version": document.tool_version,
+        "tool_version": cli.__version__,
         "catalog": list(document.catalog_names),
         "results": [
             {
@@ -162,7 +162,7 @@ def test_render_json_matches_json_dumps(model_name):
     # Absent, partial and complete verdicts, with multi-row tables.
     assert {report.verdict for report in results} == set(Verdict)
     assert max(report.occurrences for report in results) > 1
-    document = cli.ReportDocument(model_name, results, "0.1.0", tuple(catalog.names()))
+    document = cli.ReportDocument(model_name, results, tuple(catalog.names()))
     expected = json.dumps(_reference_dict(document), indent=2, ensure_ascii=False) + "\n"
     assert cli.render_json(document) == expected
 
@@ -390,7 +390,6 @@ def test_verify_checks_rows_past_the_oracle_guard(capsys, tmp_path, monkeypatch)
         row = MatchRow(
             pattern_edges=(make_edge("P", "Q", 1),),
             system_edges=(make_edge("n0", "n2", 1),),
-            mapping={"P": "n0", "Q": "n2"},
         )
         return DetectionReport(pattern_name, 1, MatchTable(1, (row,)))
 

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +20,10 @@ from dpdetect import (
     detect,
     find_matches,
     is_weakly_connected,
+    load_catalog,
     make_edge,
     oracle_detect,
+    parse_model,
 )
 from dpdetect import matcher
 from helpers import (
@@ -416,23 +419,54 @@ def test_match_table_level_zero_must_be_empty():
 
 
 def test_match_row_validates_alignment():
+    # The endpoints line up, but an association is sent onto a dependency.
     row = MatchRow(
         pattern_edges=(make_edge("P", "Q", 1),),
-        system_edges=(make_edge("a", "b", 1),),
-        mapping={"P": "a", "Q": "c"},
+        system_edges=(make_edge("a", "b", 2),),
     )
     with pytest.raises(ValueError, match="does not align"):
-        check_table(MatchTable(level=1, rows=(row,)), edges(("a", "b", 1)), edges(("P", "Q", 1)))
+        check_table(MatchTable(level=1, rows=(row,)), edges(("a", "b", 2)), edges(("P", "Q", 1)))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "model, patterns",
+    [
+        ("demo/sample_system.cg", "demo/patterns"),
+        ("tests/fixtures/symmetric/model.cg", "tests/fixtures/symmetric/patterns"),
+        ("tests/fixtures/cycles/model.cg", "tests/fixtures/cycles/patterns"),
+    ],
+)
+def test_row_mapping_is_read_off_the_alignment(model, patterns):
+    assert [field.name for field in dataclasses.fields(MatchRow)] == [
+        "pattern_edges", "system_edges",
+    ]
+    system = parse_model((ROOT / model).read_text(encoding="utf-8")).edges
+    catalog = load_catalog(ROOT / patterns)
+    rows = [
+        row
+        for name in catalog.names()
+        for row in detect(system, catalog.get(name).edges, name).table.rows
+    ]
+    assert rows
+    for row in rows:
+        # Every pair agrees with the pairs before it, so the aligned edges
+        # read as one node mapping, keyed in fragment order.
+        expected = {}
+        for pattern_edge, system_edge in zip(row.pattern_edges, row.system_edges):
+            expected.setdefault(pattern_edge.source, system_edge.source)
+            expected.setdefault(pattern_edge.target, system_edge.target)
+            assert (expected[pattern_edge.source], expected[pattern_edge.target]) == (
+                system_edge.source, system_edge.target,
+            )
+        assert list(row.mapping.items()) == list(expected.items())
 
 
 def _corrupt_row(table, **changes):
     first = dataclasses.replace(table.rows[0], **changes)
     return dataclasses.replace(table, rows=(first, *table.rows[1:]))
-
-
-def _merge_two_nodes(row):
-    first, second = sorted(row.mapping)[:2]
-    return {**row.mapping, second: row.mapping[first]}
 
 
 def _join_rows(table):
@@ -441,16 +475,24 @@ def _join_rows(table):
     joined = MatchRow(
         pattern_edges=first.pattern_edges + second.pattern_edges,
         system_edges=first.system_edges + second.system_edges,
-        mapping={**first.mapping, **second.mapping},
     )
     return MatchTable(level=2, rows=(joined,))
 
 
+def _whole_fork(table):
+    """The whole fork pattern aligned with both system edges, which sends
+    both of its sources to x."""
+    system, pattern = INSTANCES["fork"]
+    return MatchTable(level=2, rows=(MatchRow(tuple(sorted(pattern)), tuple(sorted(system))),))
+
+
 # composite on the sample system is partial at level 2 with three rows; the
-# split pattern is two detached edges, partial at level 1 with two rows.
+# split pattern is two detached edges, partial at level 1 with two rows; the
+# fork's sources must be distinct, so it is partial at level 1 with two rows.
 INSTANCES = {
     "composite": (SAMPLE_SYSTEM, CATALOG.get("composite").edges),
     "split": (edges(("x", "y", 1), ("u", "v", 2)), edges(("p", "q", 1), ("r", "s", 2))),
+    "fork": (edges(("x", "y", 1), ("x", "y", 3)), edges(("p", "q", 1), ("r", "q", 3))),
 }
 
 # Corruption -> (instance, corrupt the instance's real table, rule broken).
@@ -478,10 +520,14 @@ CORRUPTIONS = {
         ),
         "must be distinct",
     ),
-    "non-injective mapping": (
+    "non-injective mapping": ("fork", _whole_fork, "must be injective"),
+    "pattern node sent to two system nodes": (
         "composite",
-        lambda t: _corrupt_row(t, mapping=_merge_two_nodes(t.rows[0])),
-        "must be injective",
+        # The first row sends a to b; (a, c) keeps the relation but sends a to c.
+        lambda t: _corrupt_row(
+            t, system_edges=(t.rows[0].system_edges[0], make_edge("a", "c", 1))
+        ),
+        "does not align",
     ),
     "misaligned edge": (
         "composite",
