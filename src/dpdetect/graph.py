@@ -46,12 +46,6 @@ class RelationKind(IntEnum):
     GENERALIZATION = 3
 
 
-# Each member's code, for the common case in ``EdgeTuple.__new__``: a dict
-# lookup instead of an ``Enum`` call per edge.  The plain codes hash and
-# compare equal to the members, so they hit as well.
-_CODE_OF = {kind: int(kind) for kind in RelationKind}
-
-
 def _check_identifier(value: str, what: str = "node identifier") -> str:
     # Identifiers must survive the whitespace-tokenized, '#'-commented text
     # format unchanged, hence the character restrictions.
@@ -84,12 +78,9 @@ class EdgeTuple(tuple):
     def __new__(cls, source: str, target: str, relation: RelationKind | int) -> "EdgeTuple":
         _check_identifier(source)
         _check_identifier(target)
-        try:
-            code = _CODE_OF[relation]
-        except (KeyError, TypeError):
-            # Whatever else ``RelationKind`` accepts, or its ValueError.
-            code = int(RelationKind(relation))
-        return tuple.__new__(cls, (source, target, code, 1 if source == target else 0))
+        return tuple.__new__(
+            cls, (source, target, int(RelationKind(relation)), 1 if source == target else 0)
+        )
 
     def __getnewargs__(self) -> tuple[str, str, int]:
         return self[:3]
