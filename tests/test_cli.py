@@ -22,6 +22,7 @@ from helpers import SAMPLE_SYSTEM
 
 SYMMETRIC = Path(__file__).parent / "fixtures" / "symmetric"
 CYCLES = Path(__file__).parent / "fixtures" / "cycles"
+WIDE = Path(__file__).parent / "fixtures" / "wide"
 
 COMPLETE_3 = "The design pattern completely exists in the System design with 3 times"
 PARTIAL_3 = "The design pattern partially exists in the System design with 3 times"
@@ -119,6 +120,14 @@ def test_cycles_json_report_is_pinned(capsys):
     # lacks an edge in the model and the zigzag never closes, so their
     # witnesses come from fragments below the top level.
     assert_json_report_is_pinned(capsys, CYCLES)
+
+
+def test_wide_json_report_is_pinned(capsys):
+    # A 16-leaf star and a 16-edge chain descend through a dozen levels
+    # before they hit: the star on the in-degree-3 hubs, the chain on the
+    # DAG's 4-edge paths.  Their witnesses come from the first fragment of
+    # each level in canonical order.
+    assert_json_report_is_pinned(capsys, WIDE)
 
 
 def _reference_dict(document):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import random
 from collections import Counter
 from pathlib import Path
@@ -336,6 +337,133 @@ def test_witnesses_match_oracle_on_symmetric_shapes():
     # Partial levels are where a symmetric shape has several isomorphic
     # fragments competing to be a row's witness.
     assert partial >= 100
+
+
+# --- fragment enumeration --------------------------------------------------
+
+
+def _twin_leaf_swaps(pattern):
+    """Every node relabeling that permutes leaves within their twin groups.
+
+    A leaf is a node with exactly one incident edge that is not a loop;
+    twins hang off the same node with the same relation and direction."""
+    incident = Counter()
+    for source, target, _, _ in pattern:
+        incident[source] += 1
+        incident[target] += 1  # a loop counts twice, so it makes no leaf
+    groups = {}
+    for source, target, relation, _ in pattern:
+        if incident[source] == 1:
+            groups.setdefault((target, relation, "out"), []).append(source)
+        elif incident[target] == 1:
+            groups.setdefault((source, relation, "in"), []).append(target)
+    orders = [itertools.permutations(leaves) for leaves in groups.values()]
+    for choice in itertools.product(*orders):
+        yield {
+            leaf: moved
+            for leaves, chosen in zip(groups.values(), choice)
+            for leaf, moved in zip(leaves, chosen)
+        }
+
+
+def _reference_fragments(pattern, n):
+    """The connected size-``n`` combinations of the sorted pattern edges
+    that are lexicographically least in their twin-leaf orbit, in order."""
+    swaps = list(_twin_leaf_swaps(pattern))
+    kept = []
+    for combination in itertools.combinations(sorted(pattern), n):
+        if not is_weakly_connected(combination):
+            continue
+        orbit = (
+            tuple(sorted((swap.get(s, s), swap.get(t, t), r, l) for s, t, r, l in combination))
+            for swap in swaps
+        )
+        if combination == min(orbit):
+            kept.append(combination)
+    return kept
+
+
+def _fragment_test_pattern(rng):
+    """Up to nine edges: hubs with twin leaf groups, hub self-loops,
+    parallel edges of different relations, and sometimes a second
+    component."""
+    specs = set()
+    hubs = [f"h{i}" for i in range(rng.randint(1, 3))]
+    for a, b in zip(hubs, hubs[1:]):
+        for relation in rng.sample(RELATIONS, rng.randint(1, 2)):
+            specs.add((a, b, relation))
+    for hub in hubs:
+        if rng.random() < 0.3:
+            specs.add((hub, hub, rng.choice(RELATIONS)))
+        for group in range(rng.randint(0, 2)):
+            relation, inward = rng.choice(RELATIONS), rng.random() < 0.5
+            for leaf in range(rng.randint(1, 3)):
+                name = f"{hub}g{group}l{leaf}"
+                specs.add((name, hub, relation) if inward else (hub, name, relation))
+    if rng.random() < 0.3 or not specs:
+        specs.add(("x", "y", rng.choice(RELATIONS)))
+        if rng.random() < 0.5:
+            specs.add(("z", "y", rng.choice(RELATIONS)))
+    # Shuffle node names so the canonical order of edges varies.
+    names = sorted({node for source, target, _ in specs for node in (source, target)})
+    shuffled = [f"n{i}" for i in range(len(names))]
+    rng.shuffle(shuffled)
+    rename = dict(zip(names, shuffled))
+    chosen = rng.sample(sorted(specs), min(len(specs), 9))
+    return edges(*((rename[s], rename[t], r) for s, t, r in chosen))
+
+
+def test_eligible_fragments_match_the_filtered_combinations():
+    rng = random.Random(2014)
+    twinned = disconnected = 0
+    for _ in range(150):
+        pattern = _fragment_test_pattern(rng)
+        levels = list(range(1, len(pattern) + 1))
+        # Both the downward walk and direct calls at any level in any order.
+        rng.shuffle(levels)
+        for n in sorted(levels, reverse=True) + levels:
+            assert list(matcher._eligible_fragments(pattern, n)) == _reference_fragments(
+                pattern, n
+            )
+        twinned += len(list(_twin_leaf_swaps(pattern))) > 1
+        disconnected += not is_weakly_connected(pattern)
+    assert twinned >= 50 and disconnected >= 10
+
+
+def _count_connectivity_checks(monkeypatch):
+    calls = []
+    original = matcher.is_weakly_connected
+
+    def counting(fragment):
+        calls.append(len(fragment))
+        return original(fragment)
+
+    monkeypatch.setattr(matcher, "is_weakly_connected", counting)
+    return calls
+
+
+def test_wide_star_has_one_fragment_per_level():
+    pattern = edges(*((f"leaf{i:02d}", "hub", 3) for i in range(16)))
+    for n in range(16, 0, -1):
+        assert len(matcher._eligible_fragments(pattern, n)) == 1
+
+
+def test_long_chain_derives_each_level_from_the_one_above(monkeypatch):
+    pattern = edges(*((f"p{i:02d}", f"p{i + 1:02d}", 3) for i in range(24)))
+    calls = _count_connectivity_checks(monkeypatch)
+    for n in range(24, 12, -1):
+        assert len(matcher._eligible_fragments(pattern, n)) == 25 - n
+    # Filtering combinations would test about seven million of them.
+    assert len(calls) <= 1500
+
+
+def test_complete_digraph_levels_cost_linear_in_the_level_above(monkeypatch):
+    nodes = [f"v{i}" for i in range(5)]
+    pattern = edges(*((a, b, 1) for a in nodes for b in nodes if a != b))
+    calls = _count_connectivity_checks(monkeypatch)
+    sizes = [len(matcher._eligible_fragments(pattern, n)) for n in range(20, 16, -1)]
+    assert sizes == [1, 20, 190, 1140]
+    assert len(calls) <= 2000
 
 
 # --- row and table invariants ----------------------------------------------
