@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,13 +67,26 @@ def render_text(document: ReportDocument) -> str:
 
 _string = json.JSONEncoder(ensure_ascii=False).encode
 
+# Rows per chunk of the JSON report.  The report is written as it is
+# rendered, so no more than one batch of rows is held as text at a time.
+_BATCH_ROWS = 1024
+
+# Marks a slot to be filled in laid-out JSON.  Encoded text never holds a
+# raw NUL, since the encoder escapes it, so the mark cannot clash with it.
+_SLOT = "\x00"
+
+# What ``_block`` puts between two rows of a result.
+_ROW_SEPARATOR = ",\n" + " " * 8
+
 
 def _block(items: list[str], pad: str, opener: str, closer: str) -> str:
     """Encoded ``items`` one per line inside brackets whose line is
     indented by ``pad``, as ``json.dumps(indent=2)`` lays them out.
 
-    The result is built by one join, without intermediate copies, because
-    at the top level it is the whole multi-megabyte report."""
+    It never runs per row: it lays out each distinct edge once, each
+    fragment's row template once, sorting the mapping keys there, and the
+    report's skeleton once.  Rows only fill template slots, and the report
+    is written as it is rendered, a batch of rows at a time."""
     if not items:
         return opener + closer
     inner = "\n" + pad + "  "
@@ -83,51 +97,99 @@ def _block(items: list[str], pad: str, opener: str, closer: str) -> str:
     return "".join(pieces)
 
 
-def render_json(document: ReportDocument) -> str:
-    """The report as indented JSON, byte for byte what ``json.dumps`` with
-    ``indent=2`` and ``ensure_ascii=False`` gives for the same document,
-    plus a final newline."""
-    edge_text: dict[EdgeTuple, str] = {}
+class _Encoded(dict):
+    """Each key's JSON text, encoded on first use and reused after."""
 
-    def edge_list(key: str, edges: tuple[EdgeTuple, ...]) -> str:
-        items = []
-        for edge in edges:
-            text = edge_text.get(edge)
-            if text is None:
-                fields = [_string(edge.source), _string(edge.target),
-                          str(edge.relation), str(edge.self_loop)]
-                text = edge_text[edge] = _block(fields, " " * 12, "[", "]")
-            items.append(text)
-        return _block(items, " " * 10, f'"{key}": [', "]")
+    def __init__(self, encode) -> None:
+        super().__init__()
+        self.encode = encode
+
+    def __missing__(self, key):
+        text = self[key] = self.encode(key)
+        return text
+
+
+def _edge_json(edge: EdgeTuple) -> str:
+    fields = [_string(edge.source), _string(edge.target), str(edge.relation), str(edge.self_loop)]
+    return _block(fields, " " * 12, "[", "]")
+
+
+def _json_chunks(document: ReportDocument) -> Iterator[str]:
+    """The JSON report in chunks: the head of the document and of each
+    result, and each result's rows in batches of ``_BATCH_ROWS``.
+
+    All rows of one fragment share their ``pattern_edges`` text and their
+    sorted mapping keys, so each fragment gets one template, laid out once
+    with a slot per system edge and per mapped node; a row only fills the
+    slots from cached edge texts and encoded node names.  The template is
+    keyed on the system edge count too, so a row that does not align,
+    which ``--verify`` reports but still prints, renders as ``json.dumps``
+    would render it."""
+    edge_text = _Encoded(_edge_json)
+    node_text = _Encoded(_string)
+
+    def template(shape: tuple[tuple[EdgeTuple, ...], int]):
+        pattern_edges, size = shape
+        # Where each node's value is read, as ``MatchRow.mapping`` reads it:
+        # over the aligned pairs, the last write winning.  The keys are
+        # sorted here, once.
+        source = {}
+        for number, edge in enumerate(pattern_edges[:size]):
+            source[edge[0]] = (number, 0)
+            source[edge[1]] = (number, 1)
+        keys = sorted(source)
+        text = _block([
+            _block([edge_text[e] for e in pattern_edges], " " * 10, '"pattern_edges": [', "]"),
+            _block([_SLOT] * size, " " * 10, '"system_edges": [', "]"),
+            _block([f"{_string(k)}: {_SLOT}" for k in keys], " " * 10, '"mapping": {', "}"),
+        ], " " * 8, "{", "}")
+        parts = text.split(_SLOT)
+        pieces = [""] * (2 * len(parts) - 1)
+        pieces[0::2] = parts
+        return pieces, [source[k] for k in keys]
+
+    templates = _Encoded(template)
+
+    def row_texts(rows):
+        for row in rows:
+            system = row.system_edges
+            pieces, sources = templates[row.pattern_edges, len(system)]
+            pieces[1::2] = [edge_text[e] for e in system] + [
+                node_text[system[number][end]] for number, end in sources
+            ]
+            yield "".join(pieces)
 
     results = []
     for report in document.results:
-        rows = [
-            _block([
-                edge_list("pattern_edges", row.pattern_edges),
-                edge_list("system_edges", row.system_edges),
-                _block(
-                    [f"{_string(k)}: {_string(v)}" for k, v in sorted(row.mapping.items())],
-                    " " * 10, '"mapping": {', "}",
-                ),
-            ], " " * 8, "{", "}")
-            for row in report.table.rows
-        ]
         level = "null" if report.level is None else str(report.level)
         results.append(_block([
             '"pattern": ' + _string(report.pattern_name),
             '"verdict": ' + _string(report.verdict.value),
             f'"level": {level}',
             f'"occurrences": {report.occurrences}',
-            _block(rows, " " * 6, '"rows": [', "]"),
+            _block([_SLOT] if report.table.rows else [], " " * 6, '"rows": [', "]"),
         ], "    ", "{", "}"))
     catalog = [_string(name) for name in document.catalog_names]
-    return _block([
+    skeleton = _block([
         '"model": ' + _string(document.model_name),
         '"tool_version": ' + _string(__version__),
         _block(catalog, "  ", '"catalog": [', "]"),
         _block(results, "  ", '"results": [', "]"),
-    ], "", "{", "}\n")
+    ], "", "{", "}\n").split(_SLOT)
+    yield skeleton[0]
+    tables = [report.table.rows for report in document.results if report.table.rows]
+    for rows, after in zip(tables, skeleton[1:]):
+        for start in range(0, len(rows), _BATCH_ROWS):
+            batch = _ROW_SEPARATOR.join(row_texts(rows[start:start + _BATCH_ROWS]))
+            yield _ROW_SEPARATOR + batch if start else batch
+        yield after
+
+
+def render_json(document: ReportDocument) -> str:
+    """The report as indented JSON, byte for byte what ``json.dumps`` with
+    ``indent=2`` and ``ensure_ascii=False`` gives for the same document,
+    plus a final newline."""
+    return "".join(_json_chunks(document))
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -191,11 +253,12 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
-def _write(text: str) -> bool:
-    """Write ``text`` to stdout and flush it, or report one error line and
-    return False when stdout cannot take it."""
+def _write(chunks: Iterable[str]) -> bool:
+    """Write ``chunks`` to stdout as they come and flush them, or report
+    one error line and return False when stdout cannot take them."""
     try:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         sys.stdout.flush()
     except OSError as err:
         _fail(f"cannot write the report: {err.strerror or err}")
@@ -283,7 +346,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         results=tuple(results),
         catalog_names=tuple(catalog.names()),
     )
-    if not _write(render_json(document) if args.format == "json" else render_text(document)):
+    if not _write(_json_chunks(document) if args.format == "json" else [render_text(document)]):
         return EXIT_ERROR
     return EXIT_VERIFY_MISMATCH if failed else EXIT_OK
 
@@ -301,7 +364,7 @@ def cmd_list(args: argparse.Namespace) -> int:
         origin = "user" if catalog.is_user_defined(name) else "builtin"
         counts = f"nodes={len(graph.nodes)} edges={len(graph.edges)}"
         lines.append(f"{name:<{width}}  {counts} [{origin}]")
-    return EXIT_OK if _write("\n".join(lines) + "\n") else EXIT_ERROR
+    return EXIT_OK if _write(["\n".join(lines) + "\n"]) else EXIT_ERROR
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -317,7 +380,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"self-loops: {sum(edge.self_loop for edge in graph.edges)}",
         "valid",
     ]
-    return EXIT_OK if _write("\n".join(lines) + "\n") else EXIT_ERROR
+    return EXIT_OK if _write(["\n".join(lines) + "\n"]) else EXIT_ERROR
 
 
 def main(argv: list[str] | None = None) -> int:

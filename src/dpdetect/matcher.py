@@ -48,7 +48,9 @@ and with them the witnesses, follow the plan's order, with each step's
 candidates taken from sorted buckets.  The search yields only each
 embedding's image, aligned with the fragment, and a row stores just that
 alignment.  Its node mapping is read off the aligned edges on demand, in
-fragment order; ``render_json`` sorts it, where order becomes bytes.
+fragment order.  The JSON report sorts the mapping keys where order becomes
+bytes, once per fragment template rather than per row, and is written as
+it is rendered.
 
 The system index is cached for the most recent system edge set, so all
 levels of all patterns run against one model share a single index.  The

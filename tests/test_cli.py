@@ -176,6 +176,98 @@ def test_render_json_matches_json_dumps(model_name):
     assert cli.render_json(document) == expected
 
 
+def _pairs(count):
+    """``count`` node-disjoint association edges."""
+    return frozenset(make_edge(f"a{i}", f"b{i}", 1) for i in range(count))
+
+
+def _edge_case_document(case):
+    if case == "no results":
+        return cli.ReportDocument("empty", (), ("facade",))
+    if case == "template hazards":
+        # Node names that a %-template or str.format template would misread,
+        # and a NUL, on the pattern side (the template) and the system side
+        # (the slots).
+        system = frozenset([
+            make_edge("%", "%s", 1), make_edge("%s", "{0}", 1), make_edge("{0}", "}", 1),
+            make_edge('"q"', "%(x)s", 2), make_edge("{", "%", 3), make_edge("}", "}", 1),
+            make_edge("}", "nul\x00", 1),
+        ])
+        pattern = frozenset([make_edge("%d", "{}", 1), make_edge("{}", '"\x00', 1)])
+        patterns = {"chain%s": pattern, "loop{}": frozenset([make_edge("%%", "%%", 1)])}
+    elif case == "rows past one batch":
+        system = _pairs(cli._BATCH_ROWS + 1)
+        patterns = {"facade": builtin_catalog().get("facade").edges}
+    elif case == "absent result":
+        system = _pairs(2)
+        patterns = {"gen": frozenset([make_edge("c", "p", 3)])}
+    else:  # "rows that do not align", which --verify reports but still prints
+        pattern = (make_edge("P", "Q", 1), make_edge("Q", "R", 1))
+        rows = (
+            MatchRow(pattern, tuple(sorted(_pairs(3)))),
+            MatchRow(pattern, (make_edge("a0", "b0", 1),)),
+        )
+        report = DetectionReport("chain", 2, MatchTable(2, rows))
+        return cli.ReportDocument(case, (report,), ("chain",))
+    results = tuple(detect(system, patterns[name], name) for name in sorted(patterns))
+    return cli.ReportDocument(case, results, tuple(sorted(patterns)))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["template hazards", "rows past one batch", "absent result", "no results",
+     "rows that do not align"],
+)
+def test_json_chunks_join_to_json_dumps(case):
+    document = _edge_case_document(case)
+    expected = json.dumps(_reference_dict(document), indent=2, ensure_ascii=False) + "\n"
+    assert "".join(cli._json_chunks(document)) == expected
+    rows = [len(report.table.rows) for report in document.results]
+    if case == "rows past one batch":
+        assert rows == [cli._BATCH_ROWS + 1]
+    elif case == "absent result":
+        assert rows == [0]
+    elif case == "template hazards":
+        assert all(rows)
+
+
+class _Recorder:
+    """Stands in for stdout and keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_json_report_is_written_in_bounded_chunks(tmp_path, monkeypatch):
+    count = 3 * cli._BATCH_ROWS + 1
+    model = tmp_path / "pairs.cg"
+    model.write_text(
+        "model pairs\n" + "".join(f"assoc a{i} b{i}\n" for i in range(count)), encoding="utf-8"
+    )
+    recorder = _Recorder()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", recorder)
+        assert main(["detect", str(model), "--format", "json"]) == 0
+
+    catalog = builtin_catalog()
+    results = tuple(detect(_pairs(count), catalog.get(name).edges, name) for name in catalog.names())
+    # Three of the four built-ins match each edge once, so each has a row per edge.
+    assert sorted(len(report.table.rows) for report in results) == [0, count, count, count]
+    document = cli.ReportDocument("pairs", results, tuple(catalog.names()))
+    assert "".join(recorder.writes) == cli.render_json(document)
+    # One batch of these one-edge rows is a few hundred kilobytes; the
+    # report as a whole is over a megabyte.
+    assert len(recorder.writes) > 1
+    assert max(map(len, recorder.writes)) <= cli._BATCH_ROWS * 512
+
+
 def test_json_rows_replay_their_mapping(capsys, sample_system_path):
     _, out, _ = run(capsys, "detect", str(sample_system_path), "--format", "json")
     document = json.loads(out)
@@ -461,3 +553,21 @@ def test_failed_report_write_is_one_error_line(argv, sample_system_path):
     assert "Traceback" not in done.stderr
     [line] = done.stderr.splitlines()
     assert line.startswith("dpdetect: error: cannot write the report: ")
+
+
+def test_closed_pipe_is_one_error_line(tmp_path):
+    # About 2.4 MB of JSON, far more than a pipe holds, so the child is
+    # still writing when the reader goes away.
+    model = tmp_path / "pairs.cg"
+    edges = "".join(f"assoc a{i} b{i}\n" for i in range(2000))
+    model.write_text("model pairs\n" + edges, encoding="utf-8")
+    command = [sys.executable, "-m", "dpdetect", "detect", str(model), "--format", "json"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.read(20) == b'{\n  "model": "pairs"'
+        child.stdout.close()
+        stderr = child.stderr.read().decode("utf-8")
+        code = child.wait(timeout=60)
+    assert code == 1
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr
+    assert stderr.splitlines() == ["dpdetect: error: cannot write the report: Broken pipe"]
