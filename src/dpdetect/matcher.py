@@ -7,31 +7,39 @@ with the same relation code and self-loop flag, and the matched system
 edges hang together as one weakly connected piece.  Every distinct matched
 system subset at the winning level is reported as one occurrence.
 
-Levels are tried from the full pattern size downward: a hit at the top
-level means the pattern exists completely, a hit below it means partial
-existence, and no hit at any level means absence.  At every level only
-fragments that are themselves weakly connected are eligible, so a partial
-occurrence is always a coherent piece of the pattern rather than scattered
-edges.
+Levels are tried downward: a hit at the top level means the pattern
+exists completely, a hit below it means partial existence, and no hit at
+any level means absence.  At every level only fragments that are
+themselves weakly connected are eligible, so a partial occurrence is always
+a coherent piece of the pattern rather than scattered edges.  A fragment
+with more edges than the system cannot embed, so the walk starts at the
+smaller of the two edge counts and never searches a larger level.
 
 Fragments come in canonical order, the order in which
 ``itertools.combinations`` lists subsets of the sorted pattern edges, but
-the combinations are never walked.  ``_eligible_fragments`` derives each
-level from the one above: every fragment there loses one edge, and each
-connected result is kept once, so a level costs work linear in the level
-above instead of in ``C(m, n)``.  Twin leaves, degree-1 nodes that hang off
-the same node by the same relation and direction, are interchangeable, so
-of each orbit under their swaps only the first member in canonical order
-is kept: the one that takes a prefix of each twin group's sorted edges.
-The fragments left are sorted into typed-isomorphism classes as they come;
-only the first fragment of each class is searched against the system,
-because every other member finds exactly the same occurrences.  The first
-member of a class is also the first of its orbit, so each row's witness is
-still the earliest fragment in canonical order that reaches its system
-edges, together with that fragment's first embedding onto them in search
-order.  A generalization star thus has one fragment per level: a 16-leaf
-star against 61 edges with 15 hubs of in-degree 3 takes about 2.5 ms on a
-2-CPU machine, where filtering its combinations took 1.6 s.
+the combinations are never walked.  One generator, ``_levels``, walks the
+levels and holds the pattern's facts and the current level as local state.
+It derives each level from the one above: every fragment there loses one
+edge, and each connected result is kept once, so a level costs work linear
+in the level above instead of in ``C(m, n)``.  The first level it yields,
+``top``, is built from the pattern alone by a rule on ``top`` and the
+pattern's edge count ``m``: when ``top`` is more than half of ``m``, the
+walk starts at level ``m``, the pattern itself, and derives the levels
+down to ``top`` without yielding those above it; otherwise ``_grown``
+grows level ``top`` from single edges (ESU, Wernicke 2006).  Twin leaves,
+degree-1 nodes that hang off the same node by the same relation and
+direction, are interchangeable, so of each orbit under their swaps only the
+first member in canonical order is kept: the one that takes a prefix of
+each twin group's sorted edges.  The fragments left are sorted into
+typed-isomorphism classes as they come; only the first fragment of each
+class is searched against the system, because every other member finds
+exactly the same occurrences.  The first member of a class is also the
+first of its orbit, so each row's witness is still the earliest fragment
+in canonical order that reaches its system edges, together with that
+fragment's first embedding onto them in search order.  A generalization
+star thus has one fragment per level: a 16-leaf star against 61 edges with
+15 hubs of in-degree 3 takes about 2.5 ms on a 2-CPU machine, where
+filtering its combinations took 1.6 s.
 
 The system index is one table.  Each system edge is filed under the keys
 ``(relation, self_loop, source, target)`` with either endpoint, both or
@@ -53,13 +61,13 @@ bytes, once per fragment template rather than per row, and is written as
 it is rendered.
 
 The system index is cached for the most recent system edge set, so all
-levels of all patterns run against one model share a single index.  The
-image of a connected fragment is connected, so matched images need no
-connectivity check of their own.  A disconnected pattern has no connected
-image, because an injective map sends its components onto node-disjoint
-edges.  Its top level has no eligible fragment, so it is empty without a
-search and the pattern is at best partial.  User catalogs reject such
-patterns outright.
+levels of all patterns run against one model share a single index; it is
+the only cache.  The image of a connected fragment is connected, so
+matched images need no connectivity check of their own.  A disconnected
+pattern has no connected image, because an injective map sends its
+components onto node-disjoint edges.  Its top level has no eligible
+fragment, so it is empty without a search and the pattern is at best
+partial.  User catalogs reject such patterns outright.
 
 Rows are built from embeddings the search has already checked, so
 ``MatchRow`` and ``MatchTable`` are plain records that do not re-validate
@@ -225,19 +233,18 @@ def _system_index(system: frozenset[EdgeTuple]) -> _SystemIndex:
     return _SystemIndex(system)
 
 
-@functools.lru_cache(maxsize=1)
-def _pattern_facts(
-    pattern: frozenset[EdgeTuple],
-) -> tuple[dict[EdgeTuple, EdgeTuple], dict[int, list[tuple[EdgeTuple, ...]]]]:
-    """The twin-leaf successors and the components of ``pattern``, worked
-    out once per pattern and reused by every level of ``detect``.
+def _pattern_facts(pattern: frozenset[EdgeTuple]) -> tuple[dict, dict, dict]:
+    """The incident edges, twin-leaf predecessors and components of
+    ``pattern``.
 
-    Twin leaves are degree-1, non-loop nodes that hang off the same node
-    with the same relation and direction, so swapping them maps the
-    pattern onto itself.  The first map sends each edge of a twin group,
-    in sorted order, to the group's next edge; the last edge of a group
-    and every edge outside one have no entry.  The second map holds each
-    weakly connected component, as a sorted tuple, under its edge count.
+    The first map lists each node's edges in sorted order, a self-loop
+    once.  Twin leaves are degree-1, non-loop nodes that hang off the same
+    node with the same relation and direction, so swapping them maps the
+    pattern onto itself.  The second map sends each edge of a twin group,
+    in sorted order, to the group's edge before it; the first edge of a
+    group and every edge outside one have no entry.  The third map holds
+    each weakly connected component, as a sorted tuple, under its edge
+    count.
     """
     incident: defaultdict[str, list[EdgeTuple]] = defaultdict(list)
     for edge in sorted(pattern):
@@ -252,10 +259,7 @@ def _pattern_facts(
                 groups[target, relation, "in"].append(edge)
             else:
                 groups[source, relation, "out"].append(edge)
-    twin_next = {}
-    for group in groups.values():
-        group.sort()
-        twin_next.update(zip(group, group[1:]))
+    twin_prev = {b: a for group in map(sorted, groups.values()) for a, b in zip(group, group[1:])}
     components: defaultdict[int, list[tuple[EdgeTuple, ...]]] = defaultdict(list)
     seen: set[str] = set()
     for start in incident:
@@ -271,14 +275,46 @@ def _pattern_facts(
                         seen.add(node)
                         stack.append(node)
         components[len(members)].append(tuple(sorted(members)))
-    return twin_next, components
+    return incident, twin_prev, components
 
 
-@functools.lru_cache(maxsize=2)
-def _eligible_fragments(
-    pattern: frozenset[EdgeTuple], n: int
-) -> tuple[tuple[EdgeTuple, ...], ...]:
-    """Size-``n`` pattern fragments eligible at level ``n``, canonical order.
+def _grown(incident: dict, twin_prev: dict, n: int) -> list[tuple[EdgeTuple, ...]]:
+    """The eligible size-``n`` fragments, grown from single edges, unsorted.
+
+    This is ESU (Wernicke 2006) on the pattern's edges, two of which are
+    neighbours when they share a node.  Each connected edge set is grown
+    once, from its least edge, the root.  A set takes its next edge from
+    its extension, which starts as the root's neighbours above the root;
+    the edges before the one taken leave the extension of that branch, and
+    the edge taken adds its neighbours above the root that no edge of the
+    set touched before.  A twin edge joins only after its twin-group
+    predecessor, so every grown set takes a prefix of each twin group.
+    Twins have the same neighbours apart from each other, so a predecessor
+    enters the extension with its successor and ahead of it, or as the
+    edge that brings it in; a branch that passed over the predecessor can
+    never take it, and skipping the successor there loses nothing.
+    """
+    fragments = []
+    for root in sorted({edge for edges in incident.values() for edge in edges}):
+        stack = [((), set(), [root])]
+        while stack:
+            chosen, closed, extension = stack.pop()
+            if len(chosen) == n:
+                fragments.append(tuple(sorted(chosen)))
+                continue
+            for position, edge in enumerate(extension):
+                if edge in twin_prev and twin_prev[edge] not in chosen:
+                    continue
+                around = set(incident[edge[0]]).union(incident[edge[1]])
+                fresh = sorted(other for other in around - closed if other > root)
+                extension_after = extension[position + 1 :] + fresh
+                stack.append((chosen + (edge,), closed | around, extension_after))
+    return fragments
+
+
+def _levels(pattern: frozenset[EdgeTuple], top: int) -> Iterator[tuple[int, tuple]]:
+    """Yield each level ``n`` from ``top`` down to 1 with its eligible
+    size-``n`` fragments in canonical order.
 
     Every eligible fragment is weakly connected and takes a prefix of the
     sorted edges of each twin-leaf group, which makes it the first member
@@ -287,35 +323,47 @@ def _eligible_fragments(
     member of the orbit is isomorphic to it and finds the same rows later,
     so it is left out.
 
-    Level ``n`` is derived from level ``n + 1``: each fragment there loses
-    one edge, or, within a twin group, only the group's last edge it takes,
-    and each connected result is kept once.  Every eligible fragment that
-    is not a whole component is one such drop away from an eligible
-    fragment of the level above: add an adjacent edge or, if that edge is a
-    twin, the first edge of its group that the fragment lacks.  So the
-    pattern's components of exactly ``n`` edges are all that is added.  A
-    connected pattern's top level is therefore the whole pattern, with no
-    connectivity check, and a disconnected pattern has no eligible
-    fragment there.  The cache holds the level just built and the one
-    above it, so ``detect``'s downward walk derives each level once, and a
-    direct call derives the levels from the top down to ``n``, one nested
-    call per level.
+    The first level built depends only on ``top`` and the pattern's edge
+    count ``m``.  When ``top <= m - top``, level ``top`` is grown from
+    single edges by ``_grown``.  Otherwise the walk starts at level ``m``,
+    which holds the pattern itself if it is connected and nothing if it is
+    not, and derives the levels down to ``top`` without yielding those
+    above it.  Growing costs about the number of connected sets up to the
+    level, which is small near the bottom of a long pattern and huge near
+    the top of a dense one; deriving costs about the size of the levels
+    above, which is the other way round.
+
+    Every later level is derived from the one above: each fragment there
+    loses one edge, except an edge that is the twin predecessor of another
+    edge it takes, and each connected result is kept once.  Every eligible
+    fragment that is not a whole component is one such drop away from an
+    eligible fragment of the level above: add an adjacent edge or, if that
+    edge is a twin, the first edge of its group that the fragment lacks.
+    So the pattern's components of exactly ``n`` edges are all that is
+    added.  A level is built only when the walk resumes after the level
+    above it, so a caller that stops early builds nothing below.
     """
-    twin_next, components = _pattern_facts(pattern)
-    fragments = list(components.get(n, ()))
-    if n < len(pattern):
-        tried = set()
-        for fragment in _eligible_fragments(pattern, n + 1):
-            members = set(fragment)
-            for position, edge in enumerate(fragment):
-                if twin_next.get(edge) in members:
-                    continue
-                smaller = fragment[:position] + fragment[position + 1 :]
-                if smaller not in tried:
-                    tried.add(smaller)
-                    if is_weakly_connected(smaller):
-                        fragments.append(smaller)
-    return tuple(sorted(fragments))
+    incident, twin_prev, components = _pattern_facts(pattern)
+    m = len(pattern)
+    start = top if top <= m - top else m
+    for n in range(start, 0, -1):
+        if n == start:
+            fragments = components.get(n, []) if n == m else _grown(incident, twin_prev, n)
+        else:
+            above, fragments, tried = fragments, list(components.get(n, ())), set()
+            for fragment in above:
+                kept = set(map(twin_prev.get, fragment))
+                for position, edge in enumerate(fragment):
+                    if edge in kept:
+                        continue
+                    smaller = fragment[:position] + fragment[position + 1 :]
+                    if smaller not in tried:
+                        tried.add(smaller)
+                        if is_weakly_connected(smaller):
+                            fragments.append(smaller)
+        fragments = tuple(sorted(fragments))
+        if n <= top:
+            yield n, fragments
 
 
 def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[list[tuple], int]:
@@ -460,35 +508,9 @@ def _opens_class(
     return True
 
 
-def find_matches(
-    system_edges: Iterable[EdgeTuple],
-    pattern_edges: Iterable[EdgeTuple],
-    n: int,
-) -> MatchTable:
-    """All occurrences at exactly level ``n``.
-
-    Each row records one distinct weakly connected size-``n`` subset of
-    ``system_edges`` onto which some eligible size-``n`` pattern fragment
-    maps injectively, together with one witnessing alignment.  Rows come
-    back canonically ordered; a disconnected pattern has none at its top
-    level, where its only fragment is not eligible.  The eligible fragments
-    of a level are derived from those of the level above, so a direct call
-    at a low level derives every level from the top down to ``n``, with
-    one nested call per level, so Python's recursion limit bounds how far
-    below the top it can start (about 490 levels on CPython 3.11).  In
-    ``detect``'s downward walk the level above is cached.  Raises
-    ``LevelOutOfRangeError`` when ``n`` is not in 1..|pattern| and
-    ``EmptyPatternError`` for an edgeless pattern.
-    """
-    system = frozenset(system_edges)
-    pattern = frozenset(pattern_edges)
-    if not pattern:
-        raise EmptyPatternError("pattern has no edges")
-    if not 0 < n <= len(pattern):
-        raise LevelOutOfRangeError(f"level must be in 1..{len(pattern)}, got {n}")
-    if len(system) < n:
-        return MatchTable(level=n)
-    index = _system_index(system)
+def _search(fragments: tuple, index: _SystemIndex, n: int) -> MatchTable:
+    """The level-``n`` table of ``fragments``, the eligible fragments of a
+    level in canonical order, against the indexed system."""
     found: dict[frozenset[EdgeTuple], MatchRow] = {}
     # Only the first fragment of each typed-isomorphism class is searched;
     # the output is the same as searching every fragment, because:
@@ -500,9 +522,9 @@ def find_matches(
     # - the witness for K is the earliest member of its class in canonical
     #   order with its first embedding onto K, which is the class
     #   representative's row built below; that member is the first of its
-    #   twin-leaf orbit, so _eligible_fragments never leaves it out.
+    #   twin-leaf orbit, so _levels never leaves it out.
     representatives: dict[tuple, list[_SystemIndex]] = {}
-    for fragment in _eligible_fragments(pattern, n):
+    for fragment in fragments:
         if not _opens_class(fragment, representatives):
             continue
         for system_images in _embeddings(fragment, index):
@@ -513,6 +535,36 @@ def find_matches(
     return MatchTable(level=n, rows=rows)
 
 
+def find_matches(
+    system_edges: Iterable[EdgeTuple],
+    pattern_edges: Iterable[EdgeTuple],
+    n: int,
+) -> MatchTable:
+    """All occurrences at exactly level ``n``.
+
+    Each row records one distinct weakly connected size-``n`` subset of
+    ``system_edges`` onto which some eligible size-``n`` pattern fragment
+    maps injectively, together with one witnessing alignment.  Rows come
+    back canonically ordered; a disconnected pattern has none at its top
+    level, where its only fragment is not eligible.  A level with more
+    edges than the system has no rows and is not built.  Otherwise the
+    eligible fragments are those of the first level of a walk started at
+    ``n``: grown from single edges when ``n`` is at most half the pattern's
+    edge count, derived from the top level down otherwise (see
+    ``_levels``).  Raises ``LevelOutOfRangeError`` when ``n`` is not in
+    1..|pattern| and ``EmptyPatternError`` for an edgeless pattern.
+    """
+    system = frozenset(system_edges)
+    pattern = frozenset(pattern_edges)
+    if not pattern:
+        raise EmptyPatternError("pattern has no edges")
+    if not 0 < n <= len(pattern):
+        raise LevelOutOfRangeError(f"level must be in 1..{len(pattern)}, got {n}")
+    if len(system) < n:
+        return MatchTable(level=n)
+    return _search(next(_levels(pattern, n))[1], _system_index(system), n)
+
+
 def detect(
     system_edges: Iterable[EdgeTuple],
     pattern_edges: Iterable[EdgeTuple],
@@ -520,16 +572,18 @@ def detect(
 ) -> DetectionReport:
     """Classify a pattern's presence at the largest matchable level.
 
-    Tries level n = |pattern| first and walks down; the first level with
-    occurrences decides the verdict.  An empty system is valid input and
-    yields absence; an empty pattern is an error.
+    Walks the levels of ``_levels`` down from the smaller of the pattern's
+    and the system's edge counts, so no level larger than the system is
+    searched; the first level with occurrences decides the verdict.  An
+    empty system is valid input and yields absence; an empty pattern is an
+    error.
     """
     system = frozenset(system_edges)
     pattern = frozenset(pattern_edges)
     if not pattern:
         raise EmptyPatternError("pattern has no edges")
-    for level in range(len(pattern), 0, -1):
-        table = find_matches(system, pattern, level)
+    for n, fragments in _levels(pattern, min(len(pattern), len(system))):
+        table = _search(fragments, _system_index(system), n)
         if table.rows:
             return DetectionReport(pattern_name, len(pattern), table)
     return DetectionReport(pattern_name, len(pattern), MatchTable(level=0))

@@ -5,7 +5,9 @@ assignment of pattern nodes to system nodes outright and keeps those whose
 induced edge images all land in the system edge set, instead of searching
 edge by edge the way the matcher does.  The two share result types but no
 search logic, so a bug in one is unlikely to hide in the other.  Inputs
-are size-guarded because the enumeration is factorial in the node count.
+are size-guarded: the system because the enumeration is factorial in its
+node count, the pattern because every level walks all of its edge
+combinations.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ def oracle_find_matches(
 
     Semantics match ``matcher.find_matches``; only the enumeration strategy
     differs.  Raises ``OracleSizeError`` when the system exceeds the size
-    guard (``max_edges`` system edges / ``max_nodes`` system nodes).
+    guard (``max_edges`` system edges / ``max_nodes`` system nodes) or the
+    pattern has more than ``max_edges`` edges.
     """
     system = frozenset(system_edges)
     pattern = frozenset(pattern_edges)
@@ -78,6 +81,10 @@ def oracle_find_matches(
         raise OracleSizeError(
             f"system of {len(system)} edges / {len(system_nodes)} nodes exceeds the "
             f"brute-force guard of {max_edges} edges / {max_nodes} nodes"
+        )
+    if len(pattern) > max_edges:
+        raise OracleSizeError(
+            f"pattern of {len(pattern)} edges exceeds the brute-force guard of {max_edges} edges"
         )
     by_endpoints = {(e.source, e.target, e.relation): e for e in system}
     found: dict[frozenset[EdgeTuple], MatchRow] = {}

@@ -16,13 +16,14 @@ from dpdetect import (
     detect,
     make_edge,
 )
-from dpdetect import cli
+from dpdetect import cli, matcher
 from dpdetect.cli import CATALOG_ENV_VAR, main
 from helpers import SAMPLE_SYSTEM
 
 SYMMETRIC = Path(__file__).parent / "fixtures" / "symmetric"
 CYCLES = Path(__file__).parent / "fixtures" / "cycles"
 WIDE = Path(__file__).parent / "fixtures" / "wide"
+OVERSIZED = Path(__file__).parent / "fixtures" / "oversized"
 
 COMPLETE_3 = "The design pattern completely exists in the System design with 3 times"
 PARTIAL_3 = "The design pattern partially exists in the System design with 3 times"
@@ -128,6 +129,80 @@ def test_wide_json_report_is_pinned(capsys):
     # DAG's 4-edge paths.  Their witnesses come from the first fragment of
     # each level in canonical order.
     assert_json_report_is_pinned(capsys, WIDE)
+
+
+def test_oversized_json_report_is_pinned(capsys):
+    # A 600-edge chain and a 600-leaf star against a 3-edge chain: the walk
+    # starts at level 3 and grows it from single edges.
+    assert_json_report_is_pinned(capsys, OVERSIZED)
+
+
+def _record_fragment_sizes(monkeypatch):
+    """The edge count of each level detection grows and of each fragment
+    it tests for connectivity or searches, by kind, in call order."""
+    sizes = {"grown": [], "connectivity": [], "searched": []}
+    grown, connected, embeddings = matcher._grown, matcher.is_weakly_connected, matcher._embeddings
+
+    def growing(incident, twin_prev, n):
+        sizes["grown"].append(n)
+        return grown(incident, twin_prev, n)
+
+    def connectivity(fragment):
+        sizes["connectivity"].append(len(fragment))
+        return connected(fragment)
+
+    def searching(fragment, index):
+        sizes["searched"].append(len(fragment))
+        return embeddings(fragment, index)
+
+    monkeypatch.setattr(matcher, "_grown", growing)
+    monkeypatch.setattr(matcher, "is_weakly_connected", connectivity)
+    monkeypatch.setattr(matcher, "_embeddings", searching)
+    return sizes
+
+
+def _detect_one(capsys, model, patterns, name):
+    argv = ["detect", str(model), "--catalog", str(patterns), "--pattern", name]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    [result] = json.loads(out)["results"]
+    return code, err, (result["verdict"], result["level"], result["occurrences"])
+
+
+@pytest.mark.parametrize("name, level, occurrences", [("chain600", 3, 1), ("star600", 1, 3)])
+def test_pattern_far_larger_than_its_model_is_partial(
+    capsys, monkeypatch, name, level, occurrences
+):
+    sizes = _record_fragment_sizes(monkeypatch)
+    code, err, found = _detect_one(capsys, OVERSIZED / "model.cg", OVERSIZED / "patterns", name)
+    assert (code, err, found) == (0, "", ("partial", level, occurrences))
+    # No level above the model's three edges is built or searched.
+    assert sizes["grown"] == [3]
+    assert max(sizes["connectivity"] + sizes["searched"]) <= 3
+
+
+def test_dense_pattern_larger_than_its_model_is_derived_from_the_top(
+    capsys, monkeypatch, tmp_path
+):
+    # The 20-edge complete association digraph against the same digraph
+    # without three of its edges: level 17 is in the upper half, so the walk
+    # derives levels 19 to 17 from the top instead of growing level 17.
+    nodes = [f"v{i}" for i in range(5)]
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    patterns = tmp_path / "patterns"
+    patterns.mkdir()
+    lines = [f"assoc {a} {b}" for a, b in pairs]
+    text = "model digraph20\n" + "\n".join(lines) + "\n"
+    (patterns / "digraph20.cg").write_text(text, encoding="utf-8")
+    model = tmp_path / "model.cg"
+    lines = [f"assoc s{a} s{b}" for a, b in pairs[3:]]
+    model.write_text("model digraph17\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    sizes = _record_fragment_sizes(monkeypatch)
+    code, err, found = _detect_one(capsys, model, patterns, "digraph20")
+    assert (code, err, found) == (0, "", ("partial", 17, 1))
+    # Levels 19 to 17 test 20 + 190 + 1,140 candidates; growing level 17
+    # would walk every connected set of up to 17 edges.
+    assert sizes["grown"] == []
+    assert len(sizes["connectivity"]) <= 2000
 
 
 def _reference_dict(document):
@@ -479,6 +554,16 @@ def test_verify_skips_oversized_models(capsys, tmp_path):
     assert code == 0
     assert "skipped" in err
     assert "exceeds the brute-force guard" in err
+
+
+def test_verify_skips_oversized_patterns(capsys):
+    argv = ["detect", str(OVERSIZED / "model.cg"), "--catalog", str(OVERSIZED / "patterns")]
+    code, _, err = run(capsys, *argv, "--pattern", "chain600", "--verify")
+    assert code == 0
+    assert err == (
+        "dpdetect: verify: reference skipped for 'chain600': pattern of 600 edges "
+        "exceeds the brute-force guard of 12 edges\n"
+    )
 
 
 def test_verify_checks_rows_past_the_oracle_guard(capsys, tmp_path, monkeypatch):

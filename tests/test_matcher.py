@@ -266,13 +266,13 @@ def test_one_system_index_serves_the_whole_catalog(monkeypatch):
     monkeypatch.setattr(matcher, "_SystemIndex", CountingIndex)
     matcher._system_index.cache_clear()
     levels = Counter()
-    original = matcher.find_matches
+    original = matcher._search
 
-    def counting(system_edges, pattern_edges, n, **kwargs):
+    def counting(fragments, index, n):
         levels[n] += 1
-        return original(system_edges, pattern_edges, n, **kwargs)
+        return original(fragments, index, n)
 
-    monkeypatch.setattr(matcher, "find_matches", counting)
+    monkeypatch.setattr(matcher, "_search", counting)
     for name in CATALOG.names():
         detect(system, CATALOG.get(name).edges, name)
     # Several patterns, several levels each, one index.
@@ -419,12 +419,16 @@ def test_eligible_fragments_match_the_filtered_combinations():
     for _ in range(150):
         pattern = _fragment_test_pattern(rng)
         levels = list(range(1, len(pattern) + 1))
+        expected = {n: _reference_fragments(pattern, n) for n in levels}
         # Both the downward walk and direct calls at any level in any order.
         rng.shuffle(levels)
-        for n in sorted(levels, reverse=True) + levels:
-            assert list(matcher._eligible_fragments(pattern, n)) == _reference_fragments(
-                pattern, n
-            )
+        walk = [(n, list(fragments)) for n, fragments in matcher._levels(pattern, len(pattern))]
+        assert walk == [(n, expected[n]) for n in range(len(pattern), 0, -1)]
+        incident, twin_prev, _ = matcher._pattern_facts(pattern)
+        for n in levels:
+            assert list(next(matcher._levels(pattern, n))[1]) == expected[n]
+            # Growing gives the same level, however a walk started at n makes it.
+            assert sorted(matcher._grown(incident, twin_prev, n)) == expected[n]
         twinned += len(list(_twin_leaf_swaps(pattern))) > 1
         disconnected += not is_weakly_connected(pattern)
     assert twinned >= 50 and disconnected >= 10
@@ -444,15 +448,16 @@ def _count_connectivity_checks(monkeypatch):
 
 def test_wide_star_has_one_fragment_per_level():
     pattern = edges(*((f"leaf{i:02d}", "hub", 3) for i in range(16)))
-    for n in range(16, 0, -1):
-        assert len(matcher._eligible_fragments(pattern, n)) == 1
+    assert [len(fragments) for _, fragments in matcher._levels(pattern, 16)] == [1] * 16
 
 
 def test_long_chain_derives_each_level_from_the_one_above(monkeypatch):
     pattern = edges(*((f"p{i:02d}", f"p{i + 1:02d}", 3) for i in range(24)))
     calls = _count_connectivity_checks(monkeypatch)
-    for n in range(24, 12, -1):
-        assert len(matcher._eligible_fragments(pattern, n)) == 25 - n
+    for n, fragments in matcher._levels(pattern, 24):
+        assert len(fragments) == 25 - n
+        if n == 13:
+            break
     # Filtering combinations would test about seven million of them.
     assert len(calls) <= 1500
 
@@ -461,7 +466,11 @@ def test_complete_digraph_levels_cost_linear_in_the_level_above(monkeypatch):
     nodes = [f"v{i}" for i in range(5)]
     pattern = edges(*((a, b, 1) for a in nodes for b in nodes if a != b))
     calls = _count_connectivity_checks(monkeypatch)
-    sizes = [len(matcher._eligible_fragments(pattern, n)) for n in range(20, 16, -1)]
+    sizes = []
+    for n, fragments in matcher._levels(pattern, 20):
+        sizes.append(len(fragments))
+        if n == 17:
+            break
     assert sizes == [1, 20, 190, 1140]
     assert len(calls) <= 2000
 

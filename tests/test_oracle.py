@@ -60,6 +60,15 @@ def test_size_guard_is_overridable():
     assert report.occurrences == 13
 
 
+def test_size_guard_trips_on_large_patterns():
+    system = frozenset(make_edge(f"n{i}", f"n{i+1}", 3) for i in range(3))
+    chain = frozenset(make_edge(f"p{i}", f"p{i+1}", 3) for i in range(13))
+    with pytest.raises(OracleSizeError, match="pattern of 13 edges"):
+        oracle_detect(system, chain)
+    report = oracle_detect(system, chain, max_edges=13)
+    assert (report.verdict, report.level, report.occurrences) == (Verdict.PARTIAL, 3, 1)
+
+
 def test_node_guard_trips_independently():
     wide = frozenset(make_edge(f"n{i}", "hub", 1) for i in range(9))
     with pytest.raises(OracleSizeError):
