@@ -180,12 +180,28 @@ def test_pattern_far_larger_than_its_model_is_partial(
     assert max(sizes["connectivity"] + sizes["searched"]) <= 3
 
 
+def test_long_chain_half_the_size_of_its_model_is_grown(capsys, monkeypatch, tmp_path):
+    # The 600-edge chain against a 301-edge chain: level 301 lies 299
+    # levels below the top, far more than the chain's mean node degree of
+    # 2, so it is grown.  Deriving it from the top would test about 18
+    # million drops for connectivity.
+    model = tmp_path / "model.cg"
+    lines = [f"gen s{i} s{i + 1}" for i in range(301)]
+    model.write_text("model chain301\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    sizes = _record_fragment_sizes(monkeypatch)
+    code, err, found = _detect_one(capsys, model, OVERSIZED / "patterns", "chain600")
+    assert (code, err, found) == (0, "", ("partial", 301, 1))
+    assert sizes["grown"] == [301]
+    assert sizes["connectivity"] == []
+
+
 def test_dense_pattern_larger_than_its_model_is_derived_from_the_top(
     capsys, monkeypatch, tmp_path
 ):
     # The 20-edge complete association digraph against the same digraph
-    # without three of its edges: level 17 is in the upper half, so the walk
-    # derives levels 19 to 17 from the top instead of growing level 17.
+    # without three of its edges: level 17 is three levels below the top,
+    # fewer than the pattern's mean node degree of 8, so the walk derives
+    # levels 19 to 17 from the top instead of growing level 17.
     nodes = [f"v{i}" for i in range(5)]
     pairs = [(a, b) for a in nodes for b in nodes if a != b]
     patterns = tmp_path / "patterns"
