@@ -1,11 +1,13 @@
 """Pattern catalog: built-in pattern graphs plus user-supplied definitions.
 
-Pattern names are case-insensitive and stored lowercase.  User catalogs are
-directories of ``.cg`` files (or a single file); a user entry whose name
-collides with a built-in shadows it.  Every pattern, whether loaded from a
-file or passed to ``PatternCatalog`` directly, needs at least one edge, and
-its edges must form one weakly connected piece.  Isolated nodes in a pattern
-file are legal but never constrain matching, which works on edges alone.
+Pattern names are case-insensitive and stored lowercase.  The built-ins are
+written in the model format, like every user pattern, and parsed the same
+way.  User catalogs are directories of ``.cg`` files (or a single file); a
+user entry whose name collides with a built-in shadows it.  Every pattern,
+whether loaded from a file or passed to ``PatternCatalog`` directly, needs
+at least one edge, and its edges must form one weakly connected piece.
+Isolated nodes in a pattern file are legal but never constrain matching,
+which works on edges alone.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import ClassGraph, RelationKind, is_weakly_connected, make_edge
+from .graph import ClassGraph, is_weakly_connected
 from .model import ModelSyntaxError, parse_model
 
 __all__ = ["CatalogError", "PatternCatalog", "builtin_catalog", "load_catalog"]
@@ -73,25 +75,18 @@ class PatternCatalog:
         return len(self.entries)
 
 
-_ASSOC = RelationKind.ASSOCIATION
-_GEN = RelationKind.GENERALIZATION
+# The built-in patterns, one model text each, as README's table lists them.
+_BUILTINS = (
+    "model composite\nassoc c a\ngen b a\ngen c a\n",
+    "model facade\nassoc P Q\n",
+    "model prototype\nassoc b a\ngen c a\n",
+    "model singleton\nselfassoc A\n",
+)
 
 
 def builtin_catalog() -> PatternCatalog:
     """The four pattern graphs the detector ships with."""
-    entries = {
-        "composite": ClassGraph.from_edges(
-            "composite",
-            [make_edge("c", "a", _ASSOC), make_edge("b", "a", _GEN), make_edge("c", "a", _GEN)],
-        ),
-        "facade": ClassGraph.from_edges("facade", [make_edge("P", "Q", _ASSOC)]),
-        "prototype": ClassGraph.from_edges(
-            "prototype",
-            [make_edge("b", "a", _ASSOC), make_edge("c", "a", _GEN)],
-        ),
-        "singleton": ClassGraph.from_edges("singleton", [make_edge("A", "A", _ASSOC)]),
-    }
-    return PatternCatalog(entries=entries)
+    return PatternCatalog(entries={graph.name: graph for graph in map(parse_model, _BUILTINS)})
 
 
 def load_catalog(source: str | Path | None = None) -> PatternCatalog:

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .catalog import CatalogError, PatternCatalog, load_catalog
 from .graph import ClassGraph, EdgeTuple, RelationKind
-from .matcher import DetectionReport, Verdict, check_table, detect
+from .matcher import DetectionReport, Verdict, _node_map, check_table, detect
 from .model import ModelSyntaxError, parse_model
 from .oracle import OracleSizeError, oracle_detect
 
@@ -130,13 +130,10 @@ def _json_chunks(document: ReportDocument) -> Iterator[str]:
 
     def template(shape: tuple[tuple[EdgeTuple, ...], int]):
         pattern_edges, size = shape
-        # Where each node's value is read, as ``MatchRow.mapping`` reads it:
-        # over the aligned pairs, the last write winning.  The keys are
-        # sorted here, once.
-        source = {}
-        for number, edge in enumerate(pattern_edges[:size]):
-            source[edge[0]] = (number, 0)
-            source[edge[1]] = (number, 1)
+        # Where each node's value is read: the position of its system node,
+        # by the rule ``MatchRow.mapping`` reads the node itself by.  The
+        # keys are sorted here, once.
+        source = _node_map(pattern_edges, [((number, 0), (number, 1)) for number in range(size)])
         keys = sorted(source)
         text = _block([
             _block([edge_text[e] for e in pattern_edges], " " * 10, '"pattern_edges": [', "]"),

@@ -451,6 +451,34 @@ def test_wide_star_has_one_fragment_per_level():
     assert [len(fragments) for _, fragments in matcher._levels(pattern, 16)] == [1] * 16
 
 
+class _CountingDict(dict):
+    """A dict that counts the lookups made in it."""
+
+    lookups = 0
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_growing_a_twin_star_takes_one_leaf_per_step():
+    pattern = edges(*((f"leaf{i:03d}", "hub", 3) for i in range(600)))
+    incident, twin_prev, _ = matcher._pattern_facts(pattern)
+    counted = _CountingDict(twin_prev)
+    grown = matcher._grown(incident, counted, 590)
+    assert sorted(grown) == [tuple(sorted(pattern))[:590]]
+    # Scanning every waiting twin at every step makes about 360,000 lookups.
+    assert counted.lookups <= 2000
+
+
 def test_long_chain_derives_each_level_from_the_one_above(monkeypatch):
     pattern = edges(*((f"p{i:02d}", f"p{i + 1:02d}", 3) for i in range(24)))
     calls = _count_connectivity_checks(monkeypatch)
