@@ -252,13 +252,26 @@ def _fail(message: str) -> int:
 
 def _write(chunks: Iterable[str]) -> bool:
     """Write ``chunks`` to stdout as they come and flush them, or report
-    one error line and return False when stdout cannot take them."""
+    one error line and return False when stdout cannot take them.
+
+    After a failed write, text may be left in stdout's buffer, and the
+    interpreter would fail to flush it again at exit and exit 120.  So a
+    stdout backed by a file descriptor is pointed at the null device, as
+    the Python ``signal`` docs advise for ``SIGPIPE``; a stdout without
+    one, such as an in-process caller's buffer, is left alone."""
     try:
         for chunk in chunks:
             sys.stdout.write(chunk)
         sys.stdout.flush()
     except OSError as err:
         _fail(f"cannot write the report: {err.strerror or err}")
+        try:
+            descriptor = sys.stdout.fileno()
+        except (AttributeError, ValueError):
+            return False
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, descriptor)
+        os.close(devnull)
         return False
     return True
 

@@ -43,6 +43,25 @@ fragment's first embedding onto them in search order.  A generalization
 star thus has one fragment per level: a 16-leaf star against 61 edges with
 15 hubs of in-degree 3 takes about 2.5 ms on a 2-CPU machine.
 
+A search that finds nothing still tells the rest of the walk something.
+``_plan`` orders a connected fragment so that each prefix of its plan is
+connected.  If step ``Q`` is the deepest step that ever had candidates, no
+placement of steps 1 to ``Q`` let step ``Q + 1`` find one, so the plan's
+first ``Q + 1`` edges, the failing prefix, have no embedding into the
+system.  Nor has any fragment into which that prefix embeds, because
+injective typed maps compose.  ``detect`` keeps the failing prefixes of
+one pattern as local state, and before a class representative is searched
+each prefix is tested against the representative's own index, which the
+class test has built already; a fragment that contains one is skipped.
+Skipped fragments have no rows, so no table changes.  The search reads
+``Q`` off its per-step slots once it has ended, so it does no extra work
+per candidate; a search that tracked the deepest step that *placed* a
+candidate would learn a prefix one edge shorter when every candidate of
+the last step reached was taken.  A 12-edge gen chain against a gen DAG
+whose paths have at most 6 edges is searched at levels 12 and 6 only:
+the search at level 12 fails with a 7-edge path, which every level
+between contains.
+
 The system index is one table.  Each system edge is filed under the keys
 ``(relation, self_loop, source, target)`` with either endpoint, both or
 neither replaced by ``""``, the wildcard for an endpoint the search has not
@@ -445,7 +464,7 @@ def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[list[tuple], int]:
 
 
 def _embeddings(
-    fragment: tuple[EdgeTuple, ...], index: _SystemIndex
+    fragment: tuple[EdgeTuple, ...], index: _SystemIndex, prefix: list[EdgeTuple] | None = None
 ) -> Iterator[tuple[EdgeTuple, ...]]:
     """Yield the image of every injective embedding of ``fragment`` into
     the indexed system: the system edge of each fragment edge, aligned
@@ -456,9 +475,19 @@ def _embeddings(
     so a candidate is checked only against ``taken``, and only at the
     endpoints its step binds.  The mapping stays injective, so distinct
     pattern edges always land on distinct system edges.  The depth-first
-    search keeps its state on explicit stacks: a recursive closure would
+    search keeps its state in one slot per step: a recursive closure would
     refer to itself, and every search would leave behind a reference
     cycle that only the cyclic garbage collector frees.
+
+    When the search has run to its end, the edges of the plan's first
+    ``Q + 1`` steps are appended to ``prefix``, if given, where step ``Q``
+    is the deepest that ever had candidates.  A slot is filled the first
+    time its step has candidates and never cleared, so the filled slots
+    name ``Q`` without any work per candidate.  Every injective placement
+    of steps 1 to ``Q`` was tried, and step ``Q + 1`` found no candidate
+    for any of them, so that prefix has no embedding into the system.  A
+    search that yielded an embedding filled every slot and appends the
+    whole fragment.
     """
     steps, slot_count = _plan(fragment)
     last = len(steps) - 1
@@ -471,9 +500,10 @@ def _embeddings(
     # is rewritten whenever its step places a candidate, so at a yield it
     # holds the current path only.  Bound slots are never 0, so a slot is
     # true exactly when its step binds it.
-    pending = [iter((None,))]
-    while pending:
-        depth = len(pending) - 1
+    pending: list[Iterator | None] = [None] * len(steps)
+    pending[0] = iter((None,))
+    depth = 0
+    while depth >= 0:
         _, _, _, _, source_slot, target_slot, position = steps[depth]
         for edge in pending[depth]:
             if source_slot:
@@ -498,7 +528,8 @@ def _embeddings(
                     (relation, self_loop, nodes[source_key], nodes[target_key]), ()
                 )
                 if candidates:
-                    pending.append(iter(candidates))
+                    depth += 1
+                    pending[depth] = iter(candidates)
                     break
             # A yielded embedding or a next step without candidates: undo
             # this step's bindings and try its next candidate.
@@ -507,13 +538,16 @@ def _embeddings(
             if target_slot:
                 taken.discard(edge[1])
         else:
-            pending.pop()
-            if depth:
-                _, _, _, _, source_slot, target_slot, _ = steps[depth - 1]
+            depth -= 1
+            if depth > 0:
+                _, _, _, _, source_slot, target_slot, _ = steps[depth]
                 if source_slot:
                     taken.discard(nodes[source_slot])
                 if target_slot:
                     taken.discard(nodes[target_slot])
+    if prefix is not None:
+        filled = len(steps) - pending.count(None)
+        prefix.extend(fragment[step[6]] for step in steps[1 : filled + 1])
 
 
 def _shape(fragment: tuple[EdgeTuple, ...]) -> tuple:
@@ -530,26 +564,36 @@ def _shape(fragment: tuple[EdgeTuple, ...]) -> tuple:
 def _opens_class(
     fragment: tuple[EdgeTuple, ...],
     representatives: dict[tuple, list[_SystemIndex]],
-) -> bool:
-    """Whether ``fragment`` is the first of its typed-isomorphism class.
+) -> _SystemIndex | None:
+    """The index over ``fragment`` if it is the first of its
+    typed-isomorphism class, else None.
 
     ``representatives`` maps each shape to indexes over the classes seen so
     far.  Two fragments with the same edge count are isomorphic exactly
     when one embeds into the other: the embedding sends the ``n`` edges
     one-to-one onto the other's ``n`` edges, so its injective node map is
-    onto as well.  A new representative is recorded before returning True.
+    onto as well.  A new representative is recorded before it is returned.
     """
     bucket = representatives.setdefault(_shape(fragment), [])
     for index in bucket:
         if next(_embeddings(fragment, index), None) is not None:
-            return False
-    bucket.append(_SystemIndex(frozenset(fragment)))
-    return True
+            return None
+    own = _SystemIndex(frozenset(fragment))
+    bucket.append(own)
+    return own
 
 
-def _search(fragments: Iterable[tuple[EdgeTuple, ...]], index: _SystemIndex, n: int) -> MatchTable:
+def _search(
+    fragments: Iterable[tuple[EdgeTuple, ...]],
+    index: _SystemIndex,
+    n: int,
+    failed: list[tuple[EdgeTuple, ...]],
+) -> MatchTable:
     """The level-``n`` table of ``fragments``, the eligible fragments of a
-    level in canonical order, against the indexed system."""
+    level in canonical order, against the indexed system.  ``failed``
+    holds pattern fragments known to have no embedding into the system; a
+    fragment into which one of them embeds is not searched, and the
+    failing prefix of every fruitless search is added to it."""
     found: dict[tuple[EdgeTuple, ...], MatchRow] = {}
     # Only the first fragment of each typed-isomorphism class is searched;
     # the output is the same as searching every fragment, because:
@@ -562,13 +606,26 @@ def _search(fragments: Iterable[tuple[EdgeTuple, ...]], index: _SystemIndex, n: 
     #   order with its first embedding onto K, which is the class
     #   representative's row built below; that member is the first of its
     #   twin-leaf orbit, so _levels never leaves it out.
+    # A representative is not searched either when a failed prefix P
+    # embeds into it: followed by an embedding of the representative into
+    # the system, that would embed P, because injective typed maps
+    # compose.  Skipped fragments have no rows, so the table is unchanged.
+    # The prefix of a fruitless search is the plan's first Q + 1 edges,
+    # with Q its deepest step that had candidates (see _embeddings).  It
+    # is kept when it is smaller than the fragment: a search that found
+    # an embedding returns the whole fragment, and a fragment isomorphic
+    # to a fruitless one is already left out by the class test.
     representatives: dict[tuple, list[_SystemIndex]] = {}
     for fragment in fragments:
-        if not _opens_class(fragment, representatives):
+        own = _opens_class(fragment, representatives)
+        if own is None or any(next(_embeddings(p, own), None) is not None for p in failed):
             continue
-        for system_images in _embeddings(fragment, index):
+        prefix: list[EdgeTuple] = []
+        for system_images in _embeddings(fragment, index, prefix):
             row = MatchRow(fragment, system_images)
             found.setdefault(row.system_key(), row)
+        if len(prefix) < n:
+            failed.append(tuple(prefix))
     return MatchTable(level=n, rows=tuple(found[key] for key in sorted(found)))
 
 
@@ -600,7 +657,7 @@ def find_matches(
         raise LevelOutOfRangeError(f"level must be in 1..{len(pattern)}, got {n}")
     if len(system) < n:
         return MatchTable(level=n)
-    return _search(next(_levels(pattern, n))[1], _system_index(system), n)
+    return _search(next(_levels(pattern, n))[1], _system_index(system), n, [])
 
 
 def detect(
@@ -612,7 +669,9 @@ def detect(
 
     Walks the levels of ``_levels`` down from the smaller of the pattern's
     and the system's edge counts, so no level larger than the system is
-    searched; the first level with occurrences decides the verdict.  An
+    searched; the first level with occurrences decides the verdict.  The
+    failing prefixes that ``_search`` learns on one level are kept for the
+    levels below, so a fragment that contains one is never searched.  An
     empty system is valid input and yields absence; an empty pattern is an
     error.
     """
@@ -620,8 +679,9 @@ def detect(
     pattern = frozenset(pattern_edges)
     if not pattern:
         raise EmptyPatternError("pattern has no edges")
+    failed: list[tuple[EdgeTuple, ...]] = []
     for n, fragments in _levels(pattern, min(len(pattern), len(system))):
-        table = _search(fragments, _system_index(system), n)
+        table = _search(fragments, _system_index(system), n, failed)
         if table.rows:
             return DetectionReport(pattern_name, len(pattern), table)
     return DetectionReport(pattern_name, len(pattern), MatchTable(level=0))

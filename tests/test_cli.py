@@ -1,6 +1,7 @@
 """CLI behavior: output formats, determinism, exit codes, verification."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ SYMMETRIC = Path(__file__).parent / "fixtures" / "symmetric"
 CYCLES = Path(__file__).parent / "fixtures" / "cycles"
 WIDE = Path(__file__).parent / "fixtures" / "wide"
 OVERSIZED = Path(__file__).parent / "fixtures" / "oversized"
+DESCENT = Path(__file__).parent / "fixtures" / "descent"
 
 COMPLETE_3 = "The design pattern completely exists in the System design with 3 times"
 PARTIAL_3 = "The design pattern partially exists in the System design with 3 times"
@@ -137,6 +139,13 @@ def test_oversized_json_report_is_pinned(capsys):
     assert_json_report_is_pinned(capsys, OVERSIZED)
 
 
+def test_descent_json_report_is_pinned(capsys):
+    # An 8-edge chain and a 6-leaf star against a gen DAG whose paths have
+    # at most 3 edges: the failed search at the top skips every level that
+    # contains its failing prefix, and the report is unchanged.
+    assert_json_report_is_pinned(capsys, DESCENT)
+
+
 def _record_fragment_sizes(monkeypatch):
     """The edge count of each level detection grows and of each fragment
     it tests for connectivity or searches, by kind, in call order."""
@@ -151,9 +160,9 @@ def _record_fragment_sizes(monkeypatch):
         sizes["connectivity"].append(len(fragment))
         return connected(fragment)
 
-    def searching(fragment, index):
+    def searching(fragment, index, *rest):
         sizes["searched"].append(len(fragment))
-        return embeddings(fragment, index)
+        return embeddings(fragment, index, *rest)
 
     monkeypatch.setattr(matcher, "_grown", growing)
     monkeypatch.setattr(matcher, "is_weakly_connected", connectivity)
@@ -648,8 +657,11 @@ def test_module_invocation_is_deterministic(sample_system_path):
 def test_failed_report_write_is_one_error_line(argv, sample_system_path):
     command = [sys.executable, "-m", "dpdetect"]
     command += [arg.format(model=sample_system_path) for arg in argv]
+    # Unbuffered, a failed write leaves no text behind for the interpreter
+    # to flush again at exit, which would hide a failure there.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     with open("/dev/full", "w") as full:
-        done = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True)
+        done = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True, env=env)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     [line] = done.stderr.splitlines()

@@ -195,9 +195,9 @@ def test_disconnected_pattern_top_level_is_empty_without_a_search(monkeypatch, s
     searched = []
     original = matcher._embeddings
 
-    def counting(fragment, index):
+    def counting(fragment, index, *rest):
         searched.append(fragment)
-        return original(fragment, index)
+        return original(fragment, index, *rest)
 
     monkeypatch.setattr(matcher, "_embeddings", counting)
     assert find_matches(system, pattern, 2) == MatchTable(level=2)
@@ -237,10 +237,10 @@ def test_symmetric_star_searches_one_fragment_per_level(monkeypatch):
     searched = Counter()
     original = matcher._embeddings
 
-    def counting(fragment, index):
+    def counting(fragment, index, *rest):
         if index.indexed == system:
             searched[len(fragment)] += 1
-        return original(fragment, index)
+        return original(fragment, index, *rest)
 
     monkeypatch.setattr(matcher, "_SystemIndex", RecordingIndex)
     monkeypatch.setattr(matcher, "_embeddings", counting)
@@ -268,9 +268,9 @@ def test_one_system_index_serves_the_whole_catalog(monkeypatch):
     levels = Counter()
     original = matcher._search
 
-    def counting(fragments, index, n):
+    def counting(fragments, index, n, *rest):
         levels[n] += 1
-        return original(fragments, index, n)
+        return original(fragments, index, n, *rest)
 
     monkeypatch.setattr(matcher, "_search", counting)
     for name in CATALOG.names():
@@ -337,6 +337,95 @@ def test_witnesses_match_oracle_on_symmetric_shapes():
     # Partial levels are where a symmetric shape has several isomorphic
     # fragments competing to be a row's witness.
     assert partial >= 100
+
+
+# --- failed prefixes -------------------------------------------------------
+
+
+def _levels_searched(monkeypatch, system, pattern):
+    """The report of ``detect`` and the levels whose fragments it searched
+    against the system, from the top down."""
+
+    class RecordingIndex(matcher._SystemIndex):
+        def __init__(self, indexed):
+            super().__init__(indexed)
+            self.indexed = indexed
+
+    searched = set()
+    original = matcher._embeddings
+
+    def counting(fragment, index, *rest):
+        if index.indexed == system:
+            searched.add(len(fragment))
+        return original(fragment, index, *rest)
+
+    monkeypatch.setattr(matcher, "_SystemIndex", RecordingIndex)
+    monkeypatch.setattr(matcher, "_embeddings", counting)
+    matcher._system_index.cache_clear()
+    report = detect(system, pattern)
+    return report, sorted(searched, reverse=True)
+
+
+def test_chain_longer_than_every_path_skips_the_levels_between(monkeypatch):
+    # A width-2, depth-4 gen DAG: every class generalizes both classes of
+    # the next layer, so its longest path has 3 edges.  The search of level
+    # 8 fails with a 4-edge path, which every level from 7 to 4 contains.
+    layers = [[f"d{depth}{place}" for place in range(2)] for depth in range(4)]
+    pairs = zip(layers, layers[1:])
+    system = edges(*((a, b, 3) for upper, lower in pairs for a in upper for b in lower))
+    pattern = edges(*((f"c{i}", f"c{i + 1}", 3) for i in range(8)))
+    report, searched = _levels_searched(monkeypatch, system, pattern)
+    assert searched == [8, 3]
+    assert report == oracle_detect(system, pattern)
+    assert report.verdict is Verdict.PARTIAL and report.level == 3
+
+
+def test_star_wider_than_every_hub_skips_levels(monkeypatch):
+    # Three gen hubs of in-degree 2 in a ring of shared leaves.  At level
+    # 6 the third leaf finds candidates but both are taken, so the search
+    # fails with a 4-leaf star, which levels 5 and 4 contain.
+    system = edges(
+        ("x0", "h0", 3), ("x1", "h0", 3), ("x1", "h1", 3),
+        ("x2", "h1", 3), ("x2", "h2", 3), ("x0", "h2", 3),
+    )
+    pattern = edges(*((f"leaf{i}", "hub", 3) for i in range(6)))
+    report, searched = _levels_searched(monkeypatch, system, pattern)
+    assert searched == [6, 3, 2]
+    assert report == oracle_detect(system, pattern)
+    assert report.verdict is Verdict.PARTIAL and report.level == 2
+
+
+def _detect_searching_every_level(system, pattern, search):
+    """``detect`` without failed prefixes: every level is searched with
+    an empty list of them."""
+    for n, fragments in matcher._levels(pattern, min(len(pattern), len(system))):
+        table = search(fragments, matcher._system_index(system), n, [])
+        if table.rows:
+            return DetectionReport("", len(pattern), table)
+    return DetectionReport("", len(pattern), MatchTable(level=0))
+
+
+def test_failed_prefixes_change_no_report(monkeypatch):
+    original = matcher._search
+    remembered = []
+
+    def recording(fragments, index, n, failed):
+        remembered.append(failed)
+        return original(fragments, index, n, failed)
+
+    monkeypatch.setattr(matcher, "_search", recording)
+    rng = random.Random(1414)
+    learned = 0
+    for _ in range(300):
+        pattern = _symmetric_shape(rng)
+        system = random_system(rng)
+        remembered.clear()
+        ours = detect(system, pattern)
+        # The whole report, witnesses included.
+        assert ours == _detect_searching_every_level(system, pattern, original)
+        learned += any(remembered)
+    # The instances that learned a prefix are those the skip can change.
+    assert learned >= 50
 
 
 # --- fragment enumeration --------------------------------------------------
