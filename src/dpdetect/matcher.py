@@ -45,20 +45,18 @@ star thus has one fragment per level: a 16-leaf star against 61 edges with
 
 A search that finds nothing still tells the rest of the walk something.
 ``_plan`` orders a connected fragment so that each prefix of its plan is
-connected.  If step ``Q`` is the deepest step that ever had candidates, no
-placement of steps 1 to ``Q`` let step ``Q + 1`` find one, so the plan's
-first ``Q + 1`` edges, the failing prefix, have no embedding into the
-system.  Nor has any fragment into which that prefix embeds, because
-injective typed maps compose.  ``detect`` keeps the failing prefixes of
-one pattern as local state, and before a class representative is searched
-each prefix is tested against the representative's own index, which the
-class test has built already; a fragment that contains one is skipped.
-Skipped fragments have no rows, so no table changes.  The search reads
-``Q`` off its per-step slots once it has ended, so it does no extra work
-per candidate; a search that tracked the deepest step that *placed* a
-candidate would learn a prefix one edge shorter when every candidate of
-the last step reached was taken.  A 12-edge gen chain against a gen DAG
-whose paths have at most 6 edges is searched at levels 12 and 6 only:
+connected.  If the search placed a candidate at steps 1 to ``Q`` only, it
+tried every injective placement of those steps and step ``Q + 1`` placed
+nothing for any of them, so the plan's first ``Q + 1`` edges, the failing
+prefix, have no embedding into the system.  Nor has any fragment into
+which that prefix embeds, because injective typed maps compose.
+``detect`` keeps the failing prefixes of one pattern as local state, and
+``_search`` tests each against a class representative's own index, which
+its class test has built already; a fragment that contains one is
+skipped.  Skipped fragments have no rows, so no table changes.  The
+search counts the placed steps off its image slots once it has ended, so
+it does no extra work per candidate.  A 12-edge gen chain against a gen
+DAG whose paths have at most 6 edges is searched at levels 12 and 6 only:
 the search at level 12 fails with a 7-edge path, which every level
 between contains.
 
@@ -480,26 +478,27 @@ def _embeddings(
     cycle that only the cyclic garbage collector frees.
 
     When the search has run to its end, the edges of the plan's first
-    ``Q + 1`` steps are appended to ``prefix``, if given, where step ``Q``
-    is the deepest that ever had candidates.  A slot is filled the first
-    time its step has candidates and never cleared, so the filled slots
-    name ``Q`` without any work per candidate.  Every injective placement
-    of steps 1 to ``Q`` was tried, and step ``Q + 1`` found no candidate
-    for any of them, so that prefix has no embedding into the system.  A
-    search that yielded an embedding filled every slot and appends the
-    whole fragment.
+    ``placed + 1`` steps are appended to ``prefix``, if given, where
+    ``placed`` counts the steps that ever placed a candidate.  A step is
+    reached only from a placement of the step before it, so those are
+    steps 1 to ``placed``, and each wrote its image slot.  The search tried
+    every injective placement of those steps, and step ``placed + 1``
+    placed no candidate for any of them, so that prefix has no embedding
+    into the system.  A search that yielded an embedding placed every step
+    and appends the whole fragment.
     """
     steps, slot_count = _plan(fragment)
     last = len(steps) - 1
     nodes = [""] * slot_count
     taken: set[str] = set()
-    images = list(fragment)
+    images: list[EdgeTuple | None] = [None] * len(fragment)
     lookup = index.get
     # pending[d] holds the untried candidates of step d; the root's one
-    # placeholder is overwritten by the first edge's image.  images[position]
-    # is rewritten whenever its step places a candidate, so at a yield it
-    # holds the current path only.  Bound slots are never 0, so a slot is
-    # true exactly when its step binds it.
+    # placeholder is None, which it writes to the first edge's image slot
+    # before that edge places a candidate.  images[position] is rewritten
+    # whenever its step places a candidate, so at a yield it holds the
+    # current path only.  Bound slots are never 0, so a slot is true
+    # exactly when its step binds it.
     pending: list[Iterator | None] = [None] * len(steps)
     pending[0] = iter((None,))
     depth = 0
@@ -546,8 +545,8 @@ def _embeddings(
                 if target_slot:
                     taken.discard(nodes[target_slot])
     if prefix is not None:
-        filled = len(steps) - pending.count(None)
-        prefix.extend(fragment[step[6]] for step in steps[1 : filled + 1])
+        placed = len(images) - images.count(None)
+        prefix.extend(fragment[step[6]] for step in steps[1 : placed + 2])
 
 
 def _shape(fragment: tuple[EdgeTuple, ...]) -> tuple:
@@ -559,28 +558,6 @@ def _shape(fragment: tuple[EdgeTuple, ...]) -> tuple:
         degrees[edge.source][edge.relation, "out"] += 1
         degrees[edge.target][edge.relation, "in"] += 1
     return len(degrees), tuple(sorted(tuple(sorted(d.items())) for d in degrees.values()))
-
-
-def _opens_class(
-    fragment: tuple[EdgeTuple, ...],
-    representatives: dict[tuple, list[_SystemIndex]],
-) -> _SystemIndex | None:
-    """The index over ``fragment`` if it is the first of its
-    typed-isomorphism class, else None.
-
-    ``representatives`` maps each shape to indexes over the classes seen so
-    far.  Two fragments with the same edge count are isomorphic exactly
-    when one embeds into the other: the embedding sends the ``n`` edges
-    one-to-one onto the other's ``n`` edges, so its injective node map is
-    onto as well.  A new representative is recorded before it is returned.
-    """
-    bucket = representatives.setdefault(_shape(fragment), [])
-    for index in bucket:
-        if next(_embeddings(fragment, index), None) is not None:
-            return None
-    own = _SystemIndex(frozenset(fragment))
-    bucket.append(own)
-    return own
 
 
 def _search(
@@ -595,30 +572,41 @@ def _search(
     fragment into which one of them embeds is not searched, and the
     failing prefix of every fruitless search is added to it."""
     found: dict[tuple[EdgeTuple, ...], MatchRow] = {}
-    # Only the first fragment of each typed-isomorphism class is searched;
-    # the output is the same as searching every fragment, because:
-    # - a fragment F can hit an image key K only if F is isomorphic to K:
-    #   its n edges map one-to-one onto K's n edges, so the injective node
-    #   map is onto K's nodes;
-    # - so every fragment that hits K is in K's class, and every member of
-    #   that class hits every key of the class;
+    # Each fragment is decided here, in this order:
+    # 1. The class test: it is skipped when it embeds into the index of an
+    #    earlier representative with the same _shape.  An embedding of one
+    #    n-edge fragment into another sends the n edges one-to-one onto
+    #    the other's, so its injective node map is onto as well, and the
+    #    two are isomorphic.
+    # 2. Otherwise it gets its own index and becomes a representative.
+    # 3. It is skipped when a failed prefix P embeds into that index:
+    #    followed by an embedding of the fragment into the system, that
+    #    would embed P, because injective typed maps compose.
+    # Searching only the representatives gives the table that searching
+    # every fragment would:
+    # - a fragment hits an image key K only if it is isomorphic to K, by
+    #   the argument of 1, so every fragment that hits K is in K's class,
+    #   and every member of that class hits every key of the class;
     # - the witness for K is the earliest member of its class in canonical
-    #   order with its first embedding onto K, which is the class
-    #   representative's row built below; that member is the first of its
-    #   twin-leaf orbit, so _levels never leaves it out.
-    # A representative is not searched either when a failed prefix P
-    # embeds into it: followed by an embedding of the representative into
-    # the system, that would embed P, because injective typed maps
-    # compose.  Skipped fragments have no rows, so the table is unchanged.
-    # The prefix of a fruitless search is the plan's first Q + 1 edges,
-    # with Q its deepest step that had candidates (see _embeddings).  It
-    # is kept when it is smaller than the fragment: a search that found
-    # an embedding returns the whole fragment, and a fragment isomorphic
-    # to a fruitless one is already left out by the class test.
+    #   order with its first embedding onto K, which is the representative's
+    #   row built below; that member is the first of its twin-leaf orbit,
+    #   so _levels never leaves it out;
+    # - a fragment skipped by 3 has no rows.
+    # The prefix of a fruitless search is the plan's first placed + 1
+    # edges, where placed counts the steps that ever placed a candidate:
+    # every injective placement of those steps was tried, and the next
+    # step placed nothing for any of them (see _embeddings).  It is kept
+    # when it is smaller than the fragment: a search that found an
+    # embedding returns the whole fragment, and a fragment isomorphic to
+    # a fruitless one is already left out by the class test.
     representatives: dict[tuple, list[_SystemIndex]] = {}
     for fragment in fragments:
-        own = _opens_class(fragment, representatives)
-        if own is None or any(next(_embeddings(p, own), None) is not None for p in failed):
+        bucket = representatives.setdefault(_shape(fragment), [])
+        if any(next(_embeddings(fragment, other), None) is not None for other in bucket):
+            continue
+        own = _SystemIndex(frozenset(fragment))
+        bucket.append(own)
+        if any(next(_embeddings(p, own), None) is not None for p in failed):
             continue
         prefix: list[EdgeTuple] = []
         for system_images in _embeddings(fragment, index, prefix):

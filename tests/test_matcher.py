@@ -224,27 +224,27 @@ def test_symmetric_mappings_collapse_to_one_row():
 # --- symmetric patterns ----------------------------------------------------
 
 
-def test_symmetric_star_searches_one_fragment_per_level(monkeypatch):
-    # Three gen hubs sharing the same three leaves: every hub has in-degree 3.
-    system = edges(*((f"x{i}", f"h{j}", 3) for i in range(3) for j in range(3)))
-    pattern = edges(*((f"leaf{i}", "hub", 3) for i in range(8)))
-
-    class RecordingIndex(matcher._SystemIndex):
-        def __init__(self, indexed):
-            super().__init__(indexed)
-            self.indexed = indexed
-
+def _system_searches(monkeypatch, system, pattern):
+    """The report of ``detect`` and a per-level ``Counter`` of the
+    fragments it searched against the system."""
     searched = Counter()
     original = matcher._embeddings
 
     def counting(fragment, index, *rest):
-        if index.indexed == system:
+        if index is matcher._system_index(system):
             searched[len(fragment)] += 1
         return original(fragment, index, *rest)
 
-    monkeypatch.setattr(matcher, "_SystemIndex", RecordingIndex)
     monkeypatch.setattr(matcher, "_embeddings", counting)
-    report = detect(system, pattern)
+    matcher._system_index.cache_clear()
+    return detect(system, pattern), searched
+
+
+def test_symmetric_star_searches_one_fragment_per_level(monkeypatch):
+    # Three gen hubs sharing the same three leaves: every hub has in-degree 3.
+    system = edges(*((f"x{i}", f"h{j}", 3) for i in range(3) for j in range(3)))
+    pattern = edges(*((f"leaf{i}", "hub", 3) for i in range(8)))
+    report, searched = _system_searches(monkeypatch, system, pattern)
     assert report.verdict is Verdict.PARTIAL and report.level == 3
     assert report == oracle_detect(system, pattern)
     # Every fragment below the top level is a star, so one search per level
@@ -342,30 +342,6 @@ def test_witnesses_match_oracle_on_symmetric_shapes():
 # --- failed prefixes -------------------------------------------------------
 
 
-def _levels_searched(monkeypatch, system, pattern):
-    """The report of ``detect`` and the levels whose fragments it searched
-    against the system, from the top down."""
-
-    class RecordingIndex(matcher._SystemIndex):
-        def __init__(self, indexed):
-            super().__init__(indexed)
-            self.indexed = indexed
-
-    searched = set()
-    original = matcher._embeddings
-
-    def counting(fragment, index, *rest):
-        if index.indexed == system:
-            searched.add(len(fragment))
-        return original(fragment, index, *rest)
-
-    monkeypatch.setattr(matcher, "_SystemIndex", RecordingIndex)
-    monkeypatch.setattr(matcher, "_embeddings", counting)
-    matcher._system_index.cache_clear()
-    report = detect(system, pattern)
-    return report, sorted(searched, reverse=True)
-
-
 def test_chain_longer_than_every_path_skips_the_levels_between(monkeypatch):
     # A width-2, depth-4 gen DAG: every class generalizes both classes of
     # the next layer, so its longest path has 3 edges.  The search of level
@@ -374,25 +350,39 @@ def test_chain_longer_than_every_path_skips_the_levels_between(monkeypatch):
     pairs = zip(layers, layers[1:])
     system = edges(*((a, b, 3) for upper, lower in pairs for a in upper for b in lower))
     pattern = edges(*((f"c{i}", f"c{i + 1}", 3) for i in range(8)))
-    report, searched = _levels_searched(monkeypatch, system, pattern)
-    assert searched == [8, 3]
+    report, searched = _system_searches(monkeypatch, system, pattern)
+    assert sorted(searched, reverse=True) == [8, 3]
     assert report == oracle_detect(system, pattern)
     assert report.verdict is Verdict.PARTIAL and report.level == 3
 
 
-def test_star_wider_than_every_hub_skips_levels(monkeypatch):
-    # Three gen hubs of in-degree 2 in a ring of shared leaves.  At level
-    # 6 the third leaf finds candidates but both are taken, so the search
-    # fails with a 4-leaf star, which levels 5 and 4 contain.
-    system = edges(
-        ("x0", "h0", 3), ("x1", "h0", 3), ("x1", "h1", 3),
-        ("x2", "h1", 3), ("x2", "h2", 3), ("x0", "h2", 3),
-    )
-    pattern = edges(*((f"leaf{i}", "hub", 3) for i in range(6)))
-    report, searched = _levels_searched(monkeypatch, system, pattern)
-    assert searched == [6, 3, 2]
+# Gen stars against gen hubs that are all too narrow for them.
+_RING_OF_THREE_HUBS = edges(
+    ("x0", "h0", 3), ("x1", "h0", 3), ("x1", "h1", 3),
+    ("x2", "h1", 3), ("x2", "h2", 3), ("x0", "h2", 3),
+)
+_HUBS_SHARING_THREE_LEAVES = edges(*((f"x{i}", f"h{j}", 3) for i in range(3) for j in range(3)))
+
+
+@pytest.mark.parametrize(
+    "system, leaves, levels",
+    [
+        # Hubs of in-degree 2 in a ring of shared leaves.  At level 6 the
+        # third leaf finds candidates, but both are taken, so the search
+        # fails with a 3-leaf star, which levels 5 to 3 contain.
+        (_RING_OF_THREE_HUBS, 6, [6, 2]),
+        # Hubs of in-degree 3.  The search at level 5 fails with a 4-leaf
+        # star, which level 4 contains.
+        (_HUBS_SHARING_THREE_LEAVES, 5, [5, 3]),
+    ],
+    ids=["ring-6", "shared-5"],
+)
+def test_star_wider_than_every_hub_skips_levels(monkeypatch, system, leaves, levels):
+    pattern = edges(*((f"leaf{i}", "hub", 3) for i in range(leaves)))
+    report, searched = _system_searches(monkeypatch, system, pattern)
+    assert sorted(searched, reverse=True) == levels
     assert report == oracle_detect(system, pattern)
-    assert report.verdict is Verdict.PARTIAL and report.level == 2
+    assert report.verdict is Verdict.PARTIAL and report.level == levels[-1]
 
 
 def _detect_searching_every_level(system, pattern, search):
