@@ -53,40 +53,49 @@ which that prefix embeds, because injective typed maps compose.
 ``detect`` keeps the failing prefixes of one pattern as local state, and
 ``_search`` tests each against a class representative's own index, which
 its class test has built already; a fragment that contains one is
-skipped.  Skipped fragments have no rows, so no table changes.  The
-search counts the placed steps off its image slots once it has ended, so
-it does no extra work per candidate.  A 12-edge gen chain against a gen
-DAG whose paths have at most 6 edges is searched at levels 12 and 6 only:
-the search at level 12 fails with a 7-edge path, which every level
-between contains.
+skipped.  Skipped fragments have no rows, so no table changes.  Each
+placement stores one flag, and the search counts the placed steps once it
+has ended.  A 12-edge gen chain against a gen DAG whose paths have at most
+6 edges is searched at levels 12 and 6 only: the search at level 12 fails
+with a 7-edge path, which every level between contains.
 
 The system index is one table.  Each system edge is filed under the keys
 ``(relation, self_loop, source, target)`` with either endpoint, both or
 neither replaced by ``""``, the wildcard for an endpoint the search has not
-bound; ``""`` can never be a node identifier.  Each search first compiles
-its fragment into a static plan with ``_plan``, which fixes the order in
-which its edges are placed, so which endpoints are already bound at each
-depth is known before the search starts.  Every step then finds its
-candidates with one lookup, keyed on its relation, its self-loop flag and
-its bound endpoints, and names the node slots it fills.  The search checks
-a candidate only against the set of taken system nodes, at the endpoints
-its step binds, and undoes exactly those on backtracking.  The embeddings,
-and with them the witnesses, follow the plan's order, with each step's
-candidates taken from sorted buckets.  The search yields only each
-embedding's image, aligned with the fragment, and a row stores just that
-alignment.  Its node mapping is read off the aligned edges on demand, in
-fragment order.  The JSON report sorts the mapping keys where order becomes
-bytes, once per fragment template rather than per row, and is written as
-it is rendered.
+bound; ``""`` can never be a node identifier.  Each search first turns its
+fragment into a static plan with ``_plan``, which fixes the order in which
+its edges are placed, so which endpoints are already bound at each step is
+known before the search starts.  The plan's structure, the slots each step
+keys its lookup on and the slots it binds, is then compiled into Python
+source with one nested ``for`` per step, as in query compilation (Neumann,
+PVLDB 2011); ``collections.namedtuple`` builds its ``__new__`` the same
+way.  The relation codes and self-loop flags are arguments, so fragments of
+one structure share one compiled search.  Every step finds its candidates
+with one lookup, keyed on its relation, its self-loop flag and its bound
+endpoints.  Bound nodes are local variables, and a candidate is checked
+only at the endpoints its step binds, by comparing each new node with the
+nodes bound before it.  The source holds only integers, ``""`` and names
+that ``_source`` makes, never text from a model or a catalog.  The
+embeddings, and with them the witnesses, follow the plan's order, with
+each step's candidates taken from sorted buckets.  The search yields only
+each embedding's image, aligned with the fragment, and a row stores just
+that alignment.  Its node mapping is read off the aligned edges on demand,
+in fragment order.  The JSON report sorts the mapping keys where order
+becomes bytes, once per fragment template rather than per row, and is
+written as it is rendered.
 
-The system index is cached for the most recent system edge set, so all
-levels of all patterns run against one model share a single index; it is
-the only cache.  The image of a connected fragment is connected, so
-matched images need no connectivity check of their own.  A disconnected
-pattern has no connected image, because an injective map sends its
-components onto node-disjoint edges.  Its top level has no eligible
-fragment, so it is empty without a search and the pattern is at best
-partial.  User catalogs reject such patterns outright.
+There are two caches.  The system index is kept for the most recent
+system edge set, so all levels of all patterns run against one model share
+a single index.  The compiled searches are kept by plan structure in a
+bounded least-recently-used cache, ``_compiled``; nothing is compiled at
+import.
+
+The image of a connected fragment is connected, so matched images need no
+connectivity check of their own.  A disconnected pattern has no connected
+image, because an injective map sends its components onto node-disjoint
+edges.  Its top level has no eligible fragment, so it is empty without a
+search and the pattern is at best partial.  User catalogs reject such
+patterns outright.
 
 Rows are built from embeddings the search has already checked, so
 ``MatchRow`` and ``MatchTable`` are plain records that do not re-validate
@@ -98,7 +107,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import TypeVar
@@ -422,27 +431,38 @@ def _levels(
             yield n, fragments
 
 
-def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[list[tuple], int]:
-    """The static search plan for ``fragment`` and its number of node slots.
+_Step = tuple[int, int, int | None, int | None, int]
+
+# Steps per generated function.  CPython compiles at most 20 statically
+# nested blocks into one code object, and each step is one ``for``.
+_CHUNK = 16
+
+
+def _plan(
+    fragment: tuple[EdgeTuple, ...]
+) -> tuple[tuple[_Step, ...], tuple[tuple[int, ...], ...]]:
+    """The static search plan for ``fragment``: its structure and its codes.
 
     Edges are placed in the order that keeps candidate lists narrow: the
     first remaining edge that touches a node placed before it, or else the
     first remaining edge.  Which endpoints earlier steps have bound then
     depends on the order alone, so each step fixes in advance the key it
-    looks up and the slots it fills.  A step is ``(relation, self_loop,
-    source_key, target_key, source_slot, target_slot, position)``:
-    ``relation`` is the edge's relation code; ``*_key`` is the slot
-    whose node goes into the lookup key, slot 0 for an endpoint not yet
-    bound, which always holds ``""``; ``*_slot`` is the slot the step
+    looks up and the nodes it binds.  Node slots are numbered from 1 in the
+    order they are bound.  A step of the structure is ``(source_key,
+    target_key, source_slot, target_slot, position)``: ``*_key`` is the
+    slot whose node goes into the lookup key, or 0 for an endpoint not yet
+    bound, which the key fills with ``""``; ``*_slot`` is the slot the step
     binds, or None when the endpoint is bound already; ``position`` is the
     edge's index in ``fragment``.  A self-loop binds its one slot as its
-    source.  Step 0 is a root that places nothing, so the first edge's
-    candidates are looked up like every later edge's.
+    source.  The codes are each step's relation code and self-loop flag,
+    flattened, one tuple per ``_CHUNK`` steps.  The structure alone fixes
+    the generated search, so fragments that differ only in their codes,
+    such as paths of different relations, share one compiled search.
     """
     slots = {"": 0}
     remaining = list(enumerate(fragment))
-    # The first edge placed is fragment[0], so the root writes its image.
-    steps: list[tuple] = [(None, None, 0, 0, None, None, 0)]
+    structure: list[_Step] = []
+    codes: list[int] = []
     while remaining:
         for pick, (_, edge) in enumerate(remaining):
             if edge[0] in slots or edge[1] in slots:
@@ -455,10 +475,94 @@ def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[list[tuple], int]:
         target_slot = (
             None if target_key or target == source else slots.setdefault(target, len(slots))
         )
-        steps.append(
-            (relation, self_loop, source_key, target_key, source_slot, target_slot, position)
-        )
-    return steps, len(slots)
+        structure.append((source_key, target_key, source_slot, target_slot, position))
+        codes += relation, self_loop
+    width = 2 * _CHUNK
+    return tuple(structure), tuple(
+        tuple(codes[start : start + width]) for start in range(0, len(codes), width)
+    )
+
+
+def _source(structure: tuple[_Step, ...]) -> str:
+    """Python source of the search for a plan ``structure``.
+
+    It defines ``_chain``, which returns the generator function ``_c0``.
+    Every ``_CHUNK`` steps form one generator function ``_c<k>(get, empty,
+    codes, head, nodes)``, and each but the last delegates to the next from
+    its innermost loop, passing on ``head``, the edges placed so far, and
+    ``nodes``, the nodes bound so far in slot order.  The next one reads the
+    nodes its lookups key on from ``nodes``, and tests the nodes it binds
+    against all of them as one frozenset, ``earlier``.  Step ``i`` is one
+    ``for`` over the bucket ``get((r_i, l_i, source, target), empty)``,
+    with ``r_i`` and ``l_i`` unpacked from ``codes`` and an unbound
+    endpoint given as ``""``.  A bound node is the local ``n<slot>``, and a
+    candidate is skipped when a node it binds equals one bound before it.
+    Each placement stores ``f_i = 1``.  The last function yields the image
+    of every embedding, aligned with the fragment, and each returns its
+    placed steps plus the most that a call of the next one placed.  The
+    source holds only integers, ``""`` and names made here.
+    """
+    lines = ["def _chain():"]
+    bound = 0  # the slots that earlier chunks bound are 1 to bound
+    for c, first in enumerate(range(0, len(structure), _CHUNK)):
+        numbers = range(first, min(first + _CHUNK, len(structure)))
+        lines += [
+            f" def _c{c}(get, empty, codes, head, nodes):",
+            "  " + "".join(f"r{i}, l{i}, " for i in numbers) + f"= codes[{c}]",
+            "  " + "".join(f"f{i} = " for i in numbers) + "deep = 0",
+        ]
+        if bound:
+            keyed = {key for i in numbers for key in structure[i][:2] if 0 < key <= bound}
+            lines += [f"  n{slot} = nodes[{slot - 1}]" for slot in sorted(keyed)]
+            lines.append("  earlier = frozenset(nodes)")
+        indent = "  "
+        local: list[int] = []
+        for i in numbers:
+            source_key, target_key, source_slot, target_slot, _ = structure[i]
+            source = f"n{source_key}" if source_key else '""'
+            target = f"n{target_key}" if target_key else '""'
+            lines.append(f"{indent}for e{i} in get((r{i}, l{i}, {source}, {target}), empty):")
+            indent += " "
+            fresh = [(slot, field) for field, slot in enumerate((source_slot, target_slot)) if slot]
+            tests = []
+            for slot, field in fresh:
+                lines.append(f"{indent}n{slot} = e{i}[{field}]")
+                tests += [f"n{slot} in earlier"] if bound else []
+                tests += (f"n{slot} == n{other}" for other in local)
+            if tests:
+                lines += [f"{indent}if {' or '.join(tests)}:", f"{indent} continue"]
+            local += (slot for slot, _ in fresh)
+            lines.append(f"{indent}f{i} = 1")
+        if numbers[-1] == len(structure) - 1:
+            image = [""] * len(structure)
+            for i, step in enumerate(structure):
+                image[step[4]] = f"e{i}" if i >= first else f"head[{i}]"
+            lines.append(f"{indent}yield ({', '.join(image)},)")
+        else:
+            edges = "".join(f"e{i}, " for i in numbers)
+            nodes = "".join(f"n{slot}, " for slot in local)
+            lines += [
+                f"{indent}placed = yield from _c{c + 1}"
+                f"(get, empty, codes, head + ({edges}), nodes + ({nodes}))",
+                f"{indent}if placed > deep:",
+                f"{indent} deep = placed",
+            ]
+        lines.append("  return " + "".join(f"f{i} + " for i in numbers) + "deep")
+        bound += len(local)
+    return "\n".join(lines + [" return _c0", ""])
+
+
+@functools.lru_cache(maxsize=512)
+def _compiled(structure: tuple[_Step, ...]) -> Callable[..., Generator]:
+    """The generated search for a plan ``structure`` (see ``_source``),
+    compiled once and kept for the 512 most recently used structures.
+    Compiling a structure takes about 0.5 ms, and a kept one holds about
+    0.7 KiB per step; a 44-pattern catalog against a 2,000-edge model
+    compiles about 110.  The chunk functions reach each other through
+    closure cells, so a dropped entry leaves no reference cycle behind."""
+    namespace: dict[str, object] = {}
+    exec(compile(_source(structure), "<dpdetect search>", "exec"), namespace)
+    return namespace.pop("_chain")()
 
 
 def _embeddings(
@@ -468,85 +572,27 @@ def _embeddings(
     the indexed system: the system edge of each fragment edge, aligned
     position-wise with ``fragment``.
 
-    The search follows the plan of ``_plan``: ``nodes[slot]`` holds the
-    system node of each bound pattern node and ``taken`` the set of them,
-    so a candidate is checked only against ``taken``, and only at the
-    endpoints its step binds.  The mapping stays injective, so distinct
-    pattern edges always land on distinct system edges.  The depth-first
-    search keeps its state in one slot per step: a recursive closure would
-    refer to itself, and every search would leave behind a reference
-    cycle that only the cyclic garbage collector frees.
+    The search is the code that ``_compiled`` generated for the structure
+    of the fragment's plan, run with the fragment's relation codes and
+    self-loop flags.  It has one nested loop per plan step, takes each
+    step's candidates from one lookup in the index, and checks a candidate
+    only at the endpoints its step binds, by comparing each new node with
+    the nodes bound before it.  The mapping stays injective, so distinct
+    pattern edges always land on distinct system edges.
 
     When the search has run to its end, the edges of the plan's first
     ``placed + 1`` steps are appended to ``prefix``, if given, where
     ``placed`` counts the steps that ever placed a candidate.  A step is
-    reached only from a placement of the step before it, so those are
-    steps 1 to ``placed``, and each wrote its image slot.  The search tried
-    every injective placement of those steps, and step ``placed + 1``
-    placed no candidate for any of them, so that prefix has no embedding
-    into the system.  A search that yielded an embedding placed every step
-    and appends the whole fragment.
+    reached only from a placement of the step before it, so those are the
+    first ``placed`` steps.  The search tried every injective placement of
+    them, and step ``placed + 1`` placed no candidate for any of them, so
+    that prefix has no embedding into the system.  A search that yielded an
+    embedding placed every step and appends the whole fragment.
     """
-    steps, slot_count = _plan(fragment)
-    last = len(steps) - 1
-    nodes = [""] * slot_count
-    taken: set[str] = set()
-    images: list[EdgeTuple | None] = [None] * len(fragment)
-    lookup = index.get
-    # pending[d] holds the untried candidates of step d; the root's one
-    # placeholder is None, which it writes to the first edge's image slot
-    # before that edge places a candidate.  images[position] is rewritten
-    # whenever its step places a candidate, so at a yield it holds the
-    # current path only.  Bound slots are never 0, so a slot is true
-    # exactly when its step binds it.
-    pending: list[Iterator | None] = [None] * len(steps)
-    pending[0] = iter((None,))
-    depth = 0
-    while depth >= 0:
-        _, _, _, _, source_slot, target_slot, position = steps[depth]
-        for edge in pending[depth]:
-            if source_slot:
-                if edge[0] in taken or (target_slot and edge[1] in taken):
-                    continue
-                nodes[source_slot] = edge[0]
-                taken.add(edge[0])
-                if target_slot:
-                    nodes[target_slot] = edge[1]
-                    taken.add(edge[1])
-            elif target_slot:
-                if edge[1] in taken:
-                    continue
-                nodes[target_slot] = edge[1]
-                taken.add(edge[1])
-            images[position] = edge
-            if depth == last:
-                yield tuple(images)
-            else:
-                relation, self_loop, source_key, target_key, _, _, _ = steps[depth + 1]
-                candidates = lookup(
-                    (relation, self_loop, nodes[source_key], nodes[target_key]), ()
-                )
-                if candidates:
-                    depth += 1
-                    pending[depth] = iter(candidates)
-                    break
-            # A yielded embedding or a next step without candidates: undo
-            # this step's bindings and try its next candidate.
-            if source_slot:
-                taken.discard(edge[0])
-            if target_slot:
-                taken.discard(edge[1])
-        else:
-            depth -= 1
-            if depth > 0:
-                _, _, _, _, source_slot, target_slot, _ = steps[depth]
-                if source_slot:
-                    taken.discard(nodes[source_slot])
-                if target_slot:
-                    taken.discard(nodes[target_slot])
+    structure, codes = _plan(fragment)
+    placed = yield from _compiled(structure)(index.get, (), codes, (), ())
     if prefix is not None:
-        placed = len(images) - images.count(None)
-        prefix.extend(fragment[step[6]] for step in steps[1 : placed + 2])
+        prefix.extend(fragment[step[4]] for step in structure[: placed + 1])
 
 
 def _shape(fragment: tuple[EdgeTuple, ...]) -> tuple:
@@ -573,13 +619,15 @@ def _search(
     failing prefix of every fruitless search is added to it."""
     found: dict[tuple[EdgeTuple, ...], MatchRow] = {}
     # Each fragment is decided here, in this order:
-    # 1. The class test: it is skipped when it embeds into the index of an
-    #    earlier representative with the same _shape.  An embedding of one
-    #    n-edge fragment into another sends the n edges one-to-one onto
-    #    the other's, so its injective node map is onto as well, and the
-    #    two are isomorphic.
-    # 2. Otherwise it gets its own index and becomes a representative.
-    # 3. It is skipped when a failed prefix P embeds into that index:
+    # 1. The class test: it gets its own index, and it is skipped when an
+    #    earlier representative with the same _shape embeds into that
+    #    index.  An embedding of one n-edge fragment into another sends the
+    #    n edges one-to-one onto the other's, so its injective node map is
+    #    onto as well, and the two are isomorphic.  Searching with the
+    #    representatives' plans keeps the compiled searches few: the plans
+    #    of the many fragments of a dense pattern mostly differ.
+    # 2. Otherwise it becomes a representative.
+    # 3. It is skipped when a failed prefix P embeds into its index:
     #    followed by an embedding of the fragment into the system, that
     #    would embed P, because injective typed maps compose.
     # Searching only the representatives gives the table that searching
@@ -599,13 +647,13 @@ def _search(
     # when it is smaller than the fragment: a search that found an
     # embedding returns the whole fragment, and a fragment isomorphic to
     # a fruitless one is already left out by the class test.
-    representatives: dict[tuple, list[_SystemIndex]] = {}
+    representatives: dict[tuple, list[tuple[EdgeTuple, ...]]] = {}
     for fragment in fragments:
-        bucket = representatives.setdefault(_shape(fragment), [])
-        if any(next(_embeddings(fragment, other), None) is not None for other in bucket):
-            continue
         own = _SystemIndex(frozenset(fragment))
-        bucket.append(own)
+        bucket = representatives.setdefault(_shape(fragment), [])
+        if any(next(_embeddings(other, own), None) is not None for other in bucket):
+            continue
+        bucket.append(fragment)
         if any(next(_embeddings(p, own), None) is not None for p in failed):
             continue
         prefix: list[EdgeTuple] = []

@@ -1,0 +1,217 @@
+"""The compiled search: ``matcher._embeddings`` and the code it runs."""
+
+import gc
+import math
+import random
+
+import pytest
+
+from dpdetect import detect, is_weakly_connected, make_edge, oracle_find_matches
+from dpdetect import matcher
+from helpers import RELATIONS, edges, random_system, relabel
+
+
+def _images(pattern, system, prefix=None):
+    """The images ``_embeddings`` yields for the whole pattern, each checked
+    to be an injective node map that carries every edge onto its image."""
+    fragment = tuple(sorted(pattern))
+    images = list(matcher._embeddings(fragment, matcher._SystemIndex(frozenset(system)), prefix))
+    for image in images:
+        mapping = {}
+        for edge, target in zip(fragment, image):
+            assert edge[2:] == target[2:]
+            assert mapping.setdefault(edge[0], target[0]) == target[0]
+            assert mapping.setdefault(edge[1], target[1]) == target[1]
+        assert len(image) == len(fragment) and len(set(mapping.values())) == len(mapping)
+    return images
+
+
+def _connected_pattern(rng, max_nodes=5, max_edges=6):
+    """A random weakly connected pattern: each edge after the first has an
+    endpoint among the nodes placed before it.  Self-loops and all three
+    relation codes occur."""
+    nodes = ["p0"]
+    pattern = set()
+    for _ in range(rng.randint(1, max_edges)):
+        old = rng.choice(nodes)
+        if len(nodes) < max_nodes and rng.random() < 0.6:
+            other = f"p{len(nodes)}"
+            nodes.append(other)
+        else:
+            other = rng.choice(nodes)
+        source, target = (old, other) if rng.random() < 0.5 else (other, old)
+        pattern.add(make_edge(source, target, rng.choice(RELATIONS)))
+    return frozenset(pattern)
+
+
+def test_images_match_the_oracle_on_random_patterns():
+    rng = random.Random(1616)
+    loops = relations = found = 0
+    for _ in range(300):
+        pattern = _connected_pattern(rng)
+        system = random_system(rng, max_nodes=7, max_edges=6)
+        if rng.random() < 0.5:
+            # Plant a copy of the pattern on the system's node names.
+            nodes = sorted({node for edge in pattern for node in edge[:2]})
+            names = rng.sample([f"n{i}" for i in range(7)], len(nodes))
+            system |= relabel(pattern, dict(zip(nodes, names)))
+        images = _images(pattern, system)
+        assert len(images) == len(set(images))
+        reference = oracle_find_matches(system, pattern, len(pattern))
+        assert {frozenset(image) for image in images} == reference.system_edge_sets()
+        if images:
+            found += 1
+            loops += any(edge.self_loop for edge in pattern)
+            relations += len({edge.relation for edge in pattern}) == 3
+    # The instances that find images cover what the search distinguishes.
+    assert found >= 120 and loops >= 40 and relations >= 20
+
+
+def _chain(length, name="c", relation=3):
+    return edges(*((f"{name}{i:03d}", f"{name}{i + 1:03d}", relation) for i in range(length)))
+
+
+def _cycle(length, name="y"):
+    return edges(*((f"{name}{i:03d}", f"{name}{(i + 1) % length:03d}", 3) for i in range(length)))
+
+
+@pytest.mark.parametrize("steps", [15, 16, 17, 32, 33])
+def test_plans_across_chunk_boundaries_find_every_image(steps):
+    # Each chunk of the generated search holds at most 16 steps.
+    assert len(matcher._plan(tuple(sorted(_chain(steps))))[0]) == steps
+    # An n-edge chain against an L-edge path: one image per start.
+    for length in (steps - 1, steps, steps + 3):
+        path = sorted(_chain(length, "s"))
+        images = _images(_chain(steps), path)
+        assert len(images) == len(set(images)) == max(length - steps + 1, 0)
+        assert set(images) == {tuple(path[i : i + steps]) for i in range(len(images))}
+    # Against the same path run both ways, a walk that turns back meets a
+    # bound node, also one bound in an earlier chunk: two images per start.
+    both_ways = _chain(steps + 2, "s") | relabel(
+        _chain(steps + 2, "s"), {f"s{i:03d}": f"s{steps + 2 - i:03d}" for i in range(steps + 3)}
+    )
+    images = _images(_chain(steps), both_ways)
+    assert len(images) == len(set(images)) == 2 * 3
+    # The closing edge of a cycle keys on a node bound in the first chunk.
+    assert len(set(_images(_cycle(steps), _cycle(steps, "z")))) == steps
+    assert _images(_cycle(steps), _cycle(steps + 1, "z")) == []
+
+
+@pytest.mark.parametrize("leaves, hub", [(1, 1), (2, 4), (3, 3), (3, 5), (4, 6), (2, 1)])
+def test_star_images_are_the_ordered_leaf_choices(leaves, hub):
+    star = edges(*((f"leaf{i}", "hub", 3) for i in range(leaves)))
+    system = edges(*((f"x{i}", "h", 3) for i in range(hub)))
+    images = _images(star, system)
+    assert len(images) == len(set(images)) == math.perm(hub, leaves)
+
+
+def test_failing_prefix_is_learned_across_a_chunk_boundary(monkeypatch):
+    # Two disjoint 20-edge gen paths: the longest path has 20 edges.
+    system = _chain(20, "a") | _chain(20, "b")
+    chain = _chain(40)
+    prefix = []
+    assert _images(chain, system, prefix) == []
+    assert len(prefix) == 21 and is_weakly_connected(prefix)
+    # Every level from 39 down to 21 contains that prefix and is skipped.
+    searched = []
+    original = matcher._embeddings
+
+    def recording(fragment, index, *rest):
+        if index is matcher._system_index(system):
+            searched.append(len(fragment))
+        return original(fragment, index, *rest)
+
+    monkeypatch.setattr(matcher, "_embeddings", recording)
+    report = detect(system, chain)
+    assert (report.level, report.occurrences) == (20, 2)
+    assert searched == [40, 20]
+
+
+# Node identifiers that would change the meaning of Python source if any
+# reached it: quotes, backslashes, braces, calls, non-ASCII text, and the
+# names the generated code itself uses.
+ODD_NAMES = [
+    '"', "'", '"""', "\\", "\\n", "{", "}", "{0}", "%s", ")", "];",
+    "__import__('os').getcwd()", "é", "中文", "e0", "n1", "get", "codes",
+]
+
+
+def _odd_relabeling(edge_pool, rng):
+    nodes = sorted({node for edge in edge_pool for node in edge[:2]})
+    names = rng.sample(ODD_NAMES, len(nodes))
+    return dict(zip(nodes, names))
+
+
+def test_no_model_text_reaches_the_generated_code(monkeypatch):
+    compiled = matcher._compiled
+    searches = []
+
+    def recording(structure):
+        searches.append((structure, compiled(structure)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(matcher, "_compiled", recording)
+    rng = random.Random(1617)
+    for _ in range(60):
+        system = random_system(rng, max_nodes=8, max_edges=14)
+        pattern = _connected_pattern(rng, max_nodes=6, max_edges=5)
+        odd_system = relabel(system, _odd_relabeling(system, rng))
+        odd_pattern = relabel(pattern, _odd_relabeling(pattern, rng))
+        plain, odd = detect(system, pattern), detect(odd_system, odd_pattern)
+        assert (odd.verdict, odd.level, odd.occurrences) == (
+            plain.verdict,
+            plain.level,
+            plain.occurrences,
+        )
+    assert searches
+    for structure, search in searches:
+        source = matcher._source(structure)
+        assert source.isascii() and "'" not in source and "\\" not in source
+        assert '"' not in source.replace('""', "")
+        functions = [search]
+        for function in functions:
+            for constant in function.__code__.co_consts:
+                assert constant is None or constant == "" or type(constant) is int
+            functions += (cell.cell_contents for cell in function.__closure__ or ())
+
+
+def test_compiled_searches_are_shared_by_structure_in_a_bounded_cache():
+    assert matcher._compiled.cache_info().maxsize is not None
+    matcher._compiled.cache_clear()
+    system = edges(("a", "b", 3), ("b", "c", 3), ("a", "d", 1), ("d", "e", 2))
+    assert _images(edges(("p", "q", 3), ("q", "r", 3)), system) == [
+        tuple(sorted(edges(("a", "b", 3), ("b", "c", 3))))
+    ]
+    info = matcher._compiled.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    # Other relation codes, the same plan structure: the same entry.
+    assert _images(edges(("p", "q", 1), ("q", "r", 2)), system) == [
+        tuple(sorted(edges(("a", "d", 1), ("d", "e", 2))))
+    ]
+    info = matcher._compiled.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_class_tests_reuse_the_compiled_searches_of_representatives():
+    # The complete assoc digraph on 4 nodes against a 4-edge model: the walk
+    # down to level 2 class-tests hundreds of fragments, whose own plans
+    # mostly differ, against a few representatives each.  Searching with
+    # the fragments' own plans compiles 291 structures here.
+    nodes = ["k0", "k1", "k2", "k3"]
+    pattern = edges(*((a, b, 1) for a in nodes for b in nodes if a != b))
+    system = edges(("m3", "m0", 1), ("m0", "m7", 1), ("m2", "m1", 1), ("m4", "m5", 1))
+    matcher._compiled.cache_clear()
+    report = detect(system, pattern)
+    assert (report.level, report.occurrences) == (2, 1)
+    assert matcher._compiled.cache_info().misses <= 60
+
+
+def test_a_dropped_compiled_search_leaves_no_reference_cycle():
+    _images(_chain(33), _chain(34, "s"))  # three chunks
+    gc.collect()
+    gc.disable()
+    try:
+        matcher._compiled.cache_clear()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
