@@ -54,10 +54,11 @@ which that prefix embeds, because injective typed maps compose.
 ``_search`` tests each against a class representative's own index, which
 its class test has built already; a fragment that contains one is
 skipped.  Skipped fragments have no rows, so no table changes.  Each
-placement stores one flag, and the search counts the placed steps once it
-has ended.  A 12-edge gen chain against a gen DAG whose paths have at most
-6 edges is searched at levels 12 and 6 only: the search at level 12 fails
-with a 7-edge path, which every level between contains.
+placement before the last step stores one flag, and the search counts the
+placed steps once it has ended.  A 12-edge gen chain against a gen DAG
+whose paths have at most 6 edges is searched at levels 12 and 6 only: the
+search at level 12 fails with a 7-edge path, which every level between
+contains.
 
 The system index is one table.  Each system edge is filed under the keys
 ``(relation, self_loop, source, target)`` with either endpoint, both or
@@ -67,15 +68,17 @@ fragment into a static plan with ``_plan``, which fixes the order in which
 its edges are placed, so which endpoints are already bound at each step is
 known before the search starts.  The plan's structure, the slots each step
 keys its lookup on and the slots it binds, is then compiled into Python
-source with one nested ``for`` per step, as in query compilation (Neumann,
-PVLDB 2011); ``collections.namedtuple`` builds its ``__new__`` the same
-way.  The relation codes and self-loop flags are arguments, so fragments of
-one structure share one compiled search.  Every step finds its candidates
-with one lookup, keyed on its relation, its self-loop flag and its bound
-endpoints.  Bound nodes are local variables, and a candidate is checked
-only at the endpoints its step binds, by comparing each new node with the
-nodes bound before it.  The source holds only integers, ``""`` and names
-that ``_source`` makes, never text from a model or a catalog.  The
+source, one generator expression with one ``for`` clause per step, as in
+query compilation (Neumann, PVLDB 2011); ``collections.namedtuple`` builds
+its ``__new__`` the same way.  The relation codes and self-loop flags are
+arguments, so fragments of one structure share one compiled search.  Every
+step finds its candidates with one lookup, keyed on its relation, its
+self-loop flag and its bound endpoints.  Bound nodes are local variables,
+and a candidate is checked only at the endpoints its step binds, by
+comparing each new node with the nodes bound before it.  A generator
+expression may hold any number of ``for`` clauses, so one expression
+serves a plan of any length.  The source holds only integers, ``""`` and
+names that ``_source`` makes, never text from a model or a catalog.  The
 embeddings, and with them the witnesses, follow the plan's order, with
 each step's candidates taken from sorted buckets.  The search yields only
 each embedding's image, aligned with the fragment, and a row stores just
@@ -107,7 +110,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter, defaultdict
-from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import TypeVar
@@ -433,14 +436,11 @@ def _levels(
 
 _Step = tuple[int, int, int | None, int | None, int]
 
-# Steps per generated function.  CPython compiles at most 20 statically
-# nested blocks into one code object, and each step is one ``for``.
-_CHUNK = 16
+# Nodes per injectivity window of the generated search (see ``_source``).
+_WINDOW = 16
 
 
-def _plan(
-    fragment: tuple[EdgeTuple, ...]
-) -> tuple[tuple[_Step, ...], tuple[tuple[int, ...], ...]]:
+def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[tuple[_Step, ...], tuple[int, ...]]:
     """The static search plan for ``fragment``: its structure and its codes.
 
     Edges are placed in the order that keeps candidate lists narrow: the
@@ -454,10 +454,10 @@ def _plan(
     bound, which the key fills with ``""``; ``*_slot`` is the slot the step
     binds, or None when the endpoint is bound already; ``position`` is the
     edge's index in ``fragment``.  A self-loop binds its one slot as its
-    source.  The codes are each step's relation code and self-loop flag,
-    flattened, one tuple per ``_CHUNK`` steps.  The structure alone fixes
-    the generated search, so fragments that differ only in their codes,
-    such as paths of different relations, share one compiled search.
+    source.  The codes are each step's relation code and self-loop flag, in
+    one flat tuple.  The structure alone fixes the generated search, so
+    fragments that differ only in their codes, such as paths of different
+    relations, share one compiled search.
     """
     slots = {"": 0}
     remaining = list(enumerate(fragment))
@@ -477,92 +477,79 @@ def _plan(
         )
         structure.append((source_key, target_key, source_slot, target_slot, position))
         codes += relation, self_loop
-    width = 2 * _CHUNK
-    return tuple(structure), tuple(
-        tuple(codes[start : start + width]) for start in range(0, len(codes), width)
-    )
+    return tuple(structure), tuple(codes)
 
 
 def _source(structure: tuple[_Step, ...]) -> str:
     """Python source of the search for a plan ``structure``.
 
-    It defines ``_chain``, which returns the generator function ``_c0``.
-    Every ``_CHUNK`` steps form one generator function ``_c<k>(get, empty,
-    codes, head, nodes)``, and each but the last delegates to the next from
-    its innermost loop, passing on ``head``, the edges placed so far, and
-    ``nodes``, the nodes bound so far in slot order.  The next one reads the
-    nodes its lookups key on from ``nodes``, and tests the nodes it binds
-    against all of them as one frozenset, ``earlier``.  Step ``i`` is one
-    ``for`` over the bucket ``get((r_i, l_i, source, target), empty)``,
-    with ``r_i`` and ``l_i`` unpacked from ``codes`` and an unbound
-    endpoint given as ``""``.  A bound node is the local ``n<slot>``, and a
-    candidate is skipped when a node it binds equals one bound before it.
-    Each placement stores ``f_i = 1``.  The last function yields the image
-    of every embedding, aligned with the fragment, and each returns its
-    placed steps plus the most that a call of the next one placed.  The
+    It defines ``search(get, empty, codes)``, which returns one generator
+    expression over the embeddings and a function that reads the count of
+    placed steps.  The expression first unpacks ``get``, ``empty`` and
+    ``codes``, as ``r<i>, l<i>`` for step ``i``'s relation code and
+    self-loop flag, into its own locals; ``empty``, the bucket of a missing
+    key, is an argument so that the code holds no tuple constant.  Step ``i`` is the clause ``for
+    e<i> in get((r<i>, l<i>, source, target), empty)``, with an unbound
+    endpoint given as ``""``.  Each node it binds is the local ``n<slot>``,
+    bound by the clause ``for n<slot> in (e<i>[field],)``.  One ``if``
+    clause then skips the candidate when a node it binds equals a node
+    bound before it, and otherwise stores the flag ``f<i> = 1``; the count
+    is the sum of the flags.  The last step stores no flag, because only
+    the steps before it decide the failing prefix (see ``_embeddings``).
+
+    A new node is compared with ``!=`` only against the earlier nodes of
+    its window, so the source grows linearly with the plan.  A window
+    closes at the end of the step that brings it to ``_WINDOW`` nodes or
+    more; the clause ``for w<slot> in (...,)`` then binds ``w<slot>``, the
+    frozenset of every node bound before slot ``slot``, and each node of
+    the next window is tested against it with ``not in``.  The expression
+    yields the image of every embedding, aligned with the fragment.  The
     source holds only integers, ``""`` and names made here.
     """
-    lines = ["def _chain():"]
-    bound = 0  # the slots that earlier chunks bound are 1 to bound
-    for c, first in enumerate(range(0, len(structure), _CHUNK)):
-        numbers = range(first, min(first + _CHUNK, len(structure)))
-        lines += [
-            f" def _c{c}(get, empty, codes, head, nodes):",
-            "  " + "".join(f"r{i}, l{i}, " for i in numbers) + f"= codes[{c}]",
-            "  " + "".join(f"f{i} = " for i in numbers) + "deep = 0",
-        ]
-        if bound:
-            keyed = {key for i in numbers for key in structure[i][:2] if 0 < key <= bound}
-            lines += [f"  n{slot} = nodes[{slot - 1}]" for slot in sorted(keyed)]
-            lines.append("  earlier = frozenset(nodes)")
-        indent = "  "
-        local: list[int] = []
-        for i in numbers:
-            source_key, target_key, source_slot, target_slot, _ = structure[i]
-            source = f"n{source_key}" if source_key else '""'
-            target = f"n{target_key}" if target_key else '""'
-            lines.append(f"{indent}for e{i} in get((r{i}, l{i}, {source}, {target}), empty):")
-            indent += " "
-            fresh = [(slot, field) for field, slot in enumerate((source_slot, target_slot)) if slot]
-            tests = []
-            for slot, field in fresh:
-                lines.append(f"{indent}n{slot} = e{i}[{field}]")
-                tests += [f"n{slot} in earlier"] if bound else []
-                tests += (f"n{slot} == n{other}" for other in local)
-            if tests:
-                lines += [f"{indent}if {' or '.join(tests)}:", f"{indent} continue"]
-            local += (slot for slot, _ in fresh)
-            lines.append(f"{indent}f{i} = 1")
-        if numbers[-1] == len(structure) - 1:
-            image = [""] * len(structure)
-            for i, step in enumerate(structure):
-                image[step[4]] = f"e{i}" if i >= first else f"head[{i}]"
-            lines.append(f"{indent}yield ({', '.join(image)},)")
-        else:
-            edges = "".join(f"e{i}, " for i in numbers)
-            nodes = "".join(f"n{slot}, " for slot in local)
-            lines += [
-                f"{indent}placed = yield from _c{c + 1}"
-                f"(get, empty, codes, head + ({edges}), nodes + ({nodes}))",
-                f"{indent}if placed > deep:",
-                f"{indent} deep = placed",
-            ]
-        lines.append("  return " + "".join(f"f{i} + " for i in numbers) + "deep")
-        bound += len(local)
-    return "\n".join(lines + [" return _c0", ""])
+    last = len(structure) - 1
+    image = "".join(f"e{i}, " for _, i in sorted((step[4], i) for i, step in enumerate(structure)))
+    codes = "".join(f"r{i}, l{i}, " for i in range(last + 1))
+    lines = [
+        "def search(get, empty, codes):",
+        "".join(f"f{i} = " for i in range(last)) + "0",
+        f"return (({image})",
+        f"for get, empty, ({codes}) in ((get, empty, codes),)",
+    ]
+    start, bound = 1, 0  # the first slot of the open window, the last slot bound
+    for i, (source_key, target_key, source_slot, target_slot, _) in enumerate(structure):
+        source = f"n{source_key}" if source_key else '""'
+        target = f"n{target_key}" if target_key else '""'
+        lines.append(f"for e{i} in get((r{i}, l{i}, {source}, {target}), empty)")
+        tests = []
+        for field, slot in enumerate((source_slot, target_slot)):
+            if slot:
+                lines.append(f"for n{slot} in (e{i}[{field}],)")
+                tests += [f"n{slot} not in w{start}"] if start > 1 else []
+                tests += (f"n{slot} != n{other}" for other in range(start, slot))
+                bound = slot
+        tests += [f"(f{i} := 1)"] if i < last else []
+        lines += [f"if {' and '.join(tests)}"] if tests else []
+        if bound - start >= _WINDOW - 1 and i < last:
+            union = f"w{start}.union" if start > 1 else "frozenset"
+            nodes = "".join(f"n{slot}, " for slot in range(start, bound + 1))
+            lines.append(f"for w{bound + 1} in ({union}(({nodes})),)")
+            start = bound + 1
+    lines.append("), lambda: " + "".join(f"f{i} + " for i in range(last)) + "0")
+    return "\n ".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=512)
-def _compiled(structure: tuple[_Step, ...]) -> Callable[..., Generator]:
+def _compiled(structure: tuple[_Step, ...]) -> Callable[..., tuple[Iterator, Callable[[], int]]]:
     """The generated search for a plan ``structure`` (see ``_source``),
     compiled once and kept for the 512 most recently used structures.
-    Compiling a structure takes about 0.5 ms, and a kept one holds about
-    0.7 KiB per step; a 44-pattern catalog against a 2,000-edge model
-    compiles about 110.  The chunk functions reach each other through
-    closure cells, so a dropped entry leaves no reference cycle behind."""
+    Compiling a structure takes about 0.4 ms, and a kept one holds about
+    0.7 KiB per step (Python 3.11, 2 CPUs); a 44-pattern catalog against a
+    2,000-edge model compiles about 110.  The function is taken out of the
+    namespace it was defined in, whose dict is its globals, so a dropped
+    entry leaves no reference cycle behind."""
     namespace: dict[str, object] = {}
     exec(compile(_source(structure), "<dpdetect search>", "exec"), namespace)
-    return namespace.pop("_chain")()
+    return namespace.pop("search")
 
 
 def _embeddings(
@@ -574,7 +561,7 @@ def _embeddings(
 
     The search is the code that ``_compiled`` generated for the structure
     of the fragment's plan, run with the fragment's relation codes and
-    self-loop flags.  It has one nested loop per plan step, takes each
+    self-loop flags.  It has one ``for`` clause per plan step, takes each
     step's candidates from one lookup in the index, and checks a candidate
     only at the endpoints its step binds, by comparing each new node with
     the nodes bound before it.  The mapping stays injective, so distinct
@@ -582,17 +569,20 @@ def _embeddings(
 
     When the search has run to its end, the edges of the plan's first
     ``placed + 1`` steps are appended to ``prefix``, if given, where
-    ``placed`` counts the steps that ever placed a candidate.  A step is
-    reached only from a placement of the step before it, so those are the
-    first ``placed`` steps.  The search tried every injective placement of
-    them, and step ``placed + 1`` placed no candidate for any of them, so
-    that prefix has no embedding into the system.  A search that yielded an
-    embedding placed every step and appends the whole fragment.
+    ``placed`` counts the steps before the last that ever placed a
+    candidate.  A step is reached only from a placement of the step before
+    it, so those are the first ``placed`` steps.  When ``placed + 1`` steps
+    are fewer than the plan's, the search tried every injective placement
+    of the first ``placed``, and step ``placed + 1`` placed no candidate for
+    any of them, so that prefix has no embedding into the system.  A search
+    that yielded an embedding placed every step and appends the whole
+    fragment.
     """
     structure, codes = _plan(fragment)
-    placed = yield from _compiled(structure)(index.get, (), codes, (), ())
+    images, placed = _compiled(structure)(index.get, (), codes)
+    yield from images
     if prefix is not None:
-        prefix.extend(fragment[step[4]] for step in structure[: placed + 1])
+        prefix.extend(fragment[step[4]] for step in structure[: placed() + 1])
 
 
 def _shape(fragment: tuple[EdgeTuple, ...]) -> tuple:

@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import types
 
 import pytest
 
@@ -77,7 +78,8 @@ def _cycle(length, name="y"):
 
 @pytest.mark.parametrize("steps", [15, 16, 17, 32, 33])
 def test_plans_across_chunk_boundaries_find_every_image(steps):
-    # Each chunk of the generated search holds at most 16 steps.
+    # A window of the generated search closes at 16 nodes, and an n-edge
+    # chain binds n + 1: these plans end on either side of a window boundary.
     assert len(matcher._plan(tuple(sorted(_chain(steps))))[0]) == steps
     # An n-edge chain against an L-edge path: one image per start.
     for length in (steps - 1, steps, steps + 3):
@@ -86,15 +88,39 @@ def test_plans_across_chunk_boundaries_find_every_image(steps):
         assert len(images) == len(set(images)) == max(length - steps + 1, 0)
         assert set(images) == {tuple(path[i : i + steps]) for i in range(len(images))}
     # Against the same path run both ways, a walk that turns back meets a
-    # bound node, also one bound in an earlier chunk: two images per start.
+    # bound node, also one bound in an earlier window: two images per start.
     both_ways = _chain(steps + 2, "s") | relabel(
         _chain(steps + 2, "s"), {f"s{i:03d}": f"s{steps + 2 - i:03d}" for i in range(steps + 3)}
     )
     images = _images(_chain(steps), both_ways)
     assert len(images) == len(set(images)) == 2 * 3
-    # The closing edge of a cycle keys on a node bound in the first chunk.
+    # The closing edge of a cycle keys on a node bound in the first window.
     assert len(set(_images(_cycle(steps), _cycle(steps, "z")))) == steps
     assert _images(_cycle(steps), _cycle(steps + 1, "z")) == []
+    # Around a cycle of its edge count, a chain's last node meets its first,
+    # which is two windows back at 33 steps.
+    assert _images(_chain(steps), _cycle(steps, "z")) == []
+
+
+def test_images_stay_aligned_with_the_fragment_when_the_plan_reorders_it():
+    # (c, z) is placed before (b, c), which touches no node placed before it.
+    pattern = edges(("a", "z", 3), ("b", "c", 3), ("c", "z", 3))
+    assert [step[4] for step in matcher._plan(tuple(sorted(pattern)))[0]] == [0, 2, 1]
+    system = edges(("x", "y", 3), ("u", "v", 3), ("v", "y", 3))
+    aligned = tuple(make_edge(s, t, 3) for s, t in (("x", "y"), ("u", "v"), ("v", "y")))
+    assert _images(pattern, system) == [aligned]
+
+
+def test_a_1000_step_plan_compiles_to_source_linear_in_its_steps():
+    # One generator expression has no nesting limit: a 1,000-edge chain
+    # finds the one image in a 1,001-node path.
+    path = sorted(_chain(1000, "s"))
+    assert _images(_chain(1000), path) == [tuple(path)]
+    # Each node is compared with the nodes of its own window only, so the
+    # source per step stays bounded as the plan grows.
+    for steps in (40, 100, 300, 1000):
+        structure = matcher._plan(tuple(sorted(_chain(steps))))[0]
+        assert len(matcher._source(structure)) < 320 * steps
 
 
 @pytest.mark.parametrize("leaves, hub", [(1, 1), (2, 4), (3, 3), (3, 5), (4, 6), (2, 1)])
@@ -168,11 +194,21 @@ def test_no_model_text_reaches_the_generated_code(monkeypatch):
         source = matcher._source(structure)
         assert source.isascii() and "'" not in source and "\\" not in source
         assert '"' not in source.replace('""', "")
-        functions = [search]
-        for function in functions:
-            for constant in function.__code__.co_consts:
-                assert constant is None or constant == "" or type(constant) is int
-            functions += (cell.cell_contents for cell in function.__closure__ or ())
+        codes = [search.__code__]
+        for code in codes:
+            nested = [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            # Python 3.10 keeps each nested function's qualified name as a
+            # constant beside its code object.
+            names = {f"{code.co_name}.<locals>.{inner.co_name}" for inner in nested}
+            for constant in code.co_consts:
+                assert (
+                    constant is None
+                    or constant == ""
+                    or type(constant) is int
+                    or isinstance(constant, types.CodeType)
+                    or constant in names
+                )
+            codes += nested
 
 
 def test_compiled_searches_are_shared_by_structure_in_a_bounded_cache():
@@ -207,7 +243,7 @@ def test_class_tests_reuse_the_compiled_searches_of_representatives():
 
 
 def test_a_dropped_compiled_search_leaves_no_reference_cycle():
-    _images(_chain(33), _chain(34, "s"))  # three chunks
+    _images(_chain(33), _chain(34, "s"))  # three windows
     gc.collect()
     gc.disable()
     try:
