@@ -11,63 +11,18 @@ inputs.
 
 __version__ = "0.1.0"
 
-from .graph import (
-    ClassGraph,
-    EdgeTuple,
-    EmptyEdgeSetError,
-    GraphIntegrityError,
-    InvalidNodeError,
-    RelationKind,
-    is_weakly_connected,
-    make_edge,
-)
-from .model import ModelSyntaxError, parse_model, render_model
-from .catalog import (
-    CatalogError,
-    PatternCatalog,
-    builtin_catalog,
-    load_catalog,
-)
-from .matcher import (
-    DetectionReport,
-    EmptyPatternError,
-    LevelOutOfRangeError,
-    MatchRow,
-    MatchTable,
-    Verdict,
-    check_table,
-    detect,
-    find_matches,
-)
-from .oracle import OracleSizeError, oracle_detect, oracle_find_matches
+from . import catalog, graph, matcher, model, oracle
+from .graph import *
+from .model import *
+from .catalog import *
+from .matcher import *
+from .oracle import *
 
 __all__ = [
     "__version__",
-    "RelationKind",
-    "EdgeTuple",
-    "ClassGraph",
-    "InvalidNodeError",
-    "GraphIntegrityError",
-    "EmptyEdgeSetError",
-    "make_edge",
-    "is_weakly_connected",
-    "ModelSyntaxError",
-    "parse_model",
-    "render_model",
-    "CatalogError",
-    "PatternCatalog",
-    "builtin_catalog",
-    "load_catalog",
-    "EmptyPatternError",
-    "LevelOutOfRangeError",
-    "Verdict",
-    "MatchRow",
-    "MatchTable",
-    "DetectionReport",
-    "find_matches",
-    "detect",
-    "check_table",
-    "OracleSizeError",
-    "oracle_find_matches",
-    "oracle_detect",
+    *graph.__all__,
+    *model.__all__,
+    *catalog.__all__,
+    *matcher.__all__,
+    *oracle.__all__,
 ]

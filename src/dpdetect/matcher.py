@@ -60,32 +60,31 @@ whose paths have at most 6 edges is searched at levels 12 and 6 only: the
 search at level 12 fails with a 7-edge path, which every level between
 contains.
 
-The system index is one table.  Each system edge is filed under the keys
-``(relation, self_loop, source, target)`` with either endpoint, both or
-neither replaced by ``""``, the wildcard for an endpoint the search has not
-bound; ``""`` can never be a node identifier.  Each search first turns its
-fragment into a static plan with ``_plan``, which fixes the order in which
-its edges are placed, so which endpoints are already bound at each step is
-known before the search starts.  The plan's structure, the slots each step
-keys its lookup on and the slots it binds, is then compiled into Python
-source, one generator expression with one ``for`` clause per step, as in
-query compilation (Neumann, PVLDB 2011); ``collections.namedtuple`` builds
-its ``__new__`` the same way.  The relation codes and self-loop flags are
-arguments, so fragments of one structure share one compiled search.  Every
-step finds its candidates with one lookup, keyed on its relation, its
-self-loop flag and its bound endpoints.  Bound nodes are local variables,
-and a candidate is checked only at the endpoints its step binds, by
-comparing each new node with the nodes bound before it.  A generator
-expression may hold any number of ``for`` clauses, so one expression
-serves a plan of any length.  The source holds only integers, ``""`` and
-names that ``_source`` makes, never text from a model or a catalog.  The
-embeddings, and with them the witnesses, follow the plan's order, with
-each step's candidates taken from sorted buckets.  The search yields only
-each embedding's image, aligned with the fragment, and a row stores just
-that alignment.  Its node mapping is read off the aligned edges on demand,
-in fragment order.  The JSON report sorts the mapping keys where order
-becomes bytes, once per fragment template rather than per row, and is
-written as it is rendered.
+Each search first turns its fragment into a static plan with ``_plan``,
+which fixes the order in which its edges are placed, so which endpoints
+are already bound at each step is known before the search starts.  That
+gives each step a code: its relation, its self-loop flag and its kind,
+which says whether it keys on neither endpoint, the source, the target or
+both.  The system index holds one lookup table per code, keyed on ``None``
+or on the bound endpoints, so a step finds its candidates with one lookup
+in its own table, which the search fetches once before it starts.  The
+plan's structure, the slots each step keys its lookup on and the slots it binds,
+is compiled into Python source, one generator expression with one ``for``
+clause per step, as in query compilation (Neumann, PVLDB 2011);
+``collections.namedtuple`` builds its ``__new__`` the same way.  The
+tables are arguments, so fragments of one structure share one compiled
+search.  Bound nodes are local variables, and a candidate is checked only
+at the endpoints its step binds, by comparing each new node with the
+nodes bound before it.  A generator expression may hold any number of
+``for`` clauses, so one expression serves a plan of any length.  The
+source holds only integers and names that ``_source`` makes, never text
+from a model or a catalog.  The embeddings, and with them the witnesses,
+follow the plan's order, with each step's candidates taken from sorted
+buckets.  The search yields only each embedding's image, aligned with the
+fragment, and a row stores just that alignment.  Its node mapping is read
+off the aligned edges on demand, in fragment order.  The JSON report sorts
+the mapping keys where order becomes bytes, once per fragment template
+rather than per row, and is written as it is rendered.
 
 There are two caches.  The system index is kept for the most recent
 system edge set, so all levels of all patterns run against one model share
@@ -241,32 +240,28 @@ class DetectionReport:
 
 
 class _SystemIndex(dict):
-    """Candidate buckets over the system edge set, all in one table.
+    """Candidate buckets over the system edge set, one lookup table per
+    kind of search step.
 
-    Every system edge is filed under four keys of the same shape,
-    ``(relation, self_loop, source, target)``, in which ``""`` stands for
-    an endpoint the search has not bound: ``(r, l, "", "")``,
-    ``(r, l, s, "")``, ``(r, l, "", t)`` and ``(r, l, s, t)``.  ``""`` can
-    never be a node identifier, so the four kinds of key never collide.  A
-    search step therefore finds its candidates with one lookup, whichever
-    of its endpoints are bound.  Buckets hold sorted tuples so iteration
-    order is deterministic, and the self-loop flag in every key keeps a
-    non-loop pattern edge from seeing loop candidates.
+    A step's code ``(relation, self_loop, kind)`` names its table, and the
+    kind says which of its endpoints the search has bound: kind 0 keys the
+    one bucket of every edge of that relation and loop flag on ``None``,
+    kind 1 keys its buckets on the source, kind 2 on the target and kind 3
+    on the pair ``(source, target)``.  Every system edge is filed once in
+    each of the four tables of its relation and loop flag, so a step finds
+    its candidates with one lookup in its own table.  Buckets hold sorted
+    tuples so iteration order is deterministic, and the self-loop flag in
+    every code keeps a non-loop pattern edge from seeing loop candidates.
     """
 
     def __init__(self, edges: frozenset[EdgeTuple]) -> None:
-        buckets: dict[tuple, list[EdgeTuple] | tuple[EdgeTuple]] = {}
+        super().__init__()
         for edge in sorted(edges):
             source, target, relation, self_loop = edge
-            for key in (
-                (relation, self_loop, "", ""),
-                (relation, self_loop, source, ""),
-                (relation, self_loop, "", target),
-            ):
-                buckets.setdefault(key, []).append(edge)
-            # Endpoints and relation determine the edge: a bucket of one.
-            buckets[relation, self_loop, source, target] = (edge,)
-        super().__init__((key, tuple(bucket)) for key, bucket in buckets.items())
+            for kind, key in enumerate((None, source, target, (source, target))):
+                self.setdefault((relation, self_loop, kind), {}).setdefault(key, []).append(edge)
+        for table in self.values():
+            table.update({key: tuple(bucket) for key, bucket in table.items()})
 
 
 @functools.lru_cache(maxsize=1)
@@ -435,12 +430,13 @@ def _levels(
 
 
 _Step = tuple[int, int, int | None, int | None, int]
+_Code = tuple[int, int, int]
 
 # Nodes per injectivity window of the generated search (see ``_source``).
 _WINDOW = 16
 
 
-def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[tuple[_Step, ...], tuple[int, ...]]:
+def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[tuple[_Step, ...], tuple[_Code, ...]]:
     """The static search plan for ``fragment``: its structure and its codes.
 
     Edges are placed in the order that keeps candidate lists narrow: the
@@ -451,18 +447,19 @@ def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[tuple[_Step, ...], tuple[int
     order they are bound.  A step of the structure is ``(source_key,
     target_key, source_slot, target_slot, position)``: ``*_key`` is the
     slot whose node goes into the lookup key, or 0 for an endpoint not yet
-    bound, which the key fills with ``""``; ``*_slot`` is the slot the step
-    binds, or None when the endpoint is bound already; ``position`` is the
-    edge's index in ``fragment``.  A self-loop binds its one slot as its
-    source.  The codes are each step's relation code and self-loop flag, in
-    one flat tuple.  The structure alone fixes the generated search, so
-    fragments that differ only in their codes, such as paths of different
-    relations, share one compiled search.
+    bound; ``*_slot`` is the slot the step binds, or None when the endpoint
+    is bound already; ``position`` is the edge's index in ``fragment``.  A
+    self-loop binds its one slot as its source.  Each step's code is
+    ``(relation, self_loop, kind)``, which names its table in
+    ``_SystemIndex``; the kind is 1 if the step keys on its source plus 2
+    if it keys on its target.  The structure alone fixes the generated
+    search, so fragments that differ only in their codes, such as paths of
+    different relations, share one compiled search.
     """
-    slots = {"": 0}
+    slots: dict[str, int] = {}
     remaining = list(enumerate(fragment))
     structure: list[_Step] = []
-    codes: list[int] = []
+    codes: list[_Code] = []
     while remaining:
         for pick, (_, edge) in enumerate(remaining):
             if edge[0] in slots or edge[1] in slots:
@@ -471,31 +468,32 @@ def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[tuple[_Step, ...], tuple[int
             pick = 0
         position, (source, target, relation, self_loop) = remaining.pop(pick)
         source_key, target_key = slots.get(source, 0), slots.get(target, 0)
-        source_slot = None if source_key else slots.setdefault(source, len(slots))
+        source_slot = None if source_key else slots.setdefault(source, len(slots) + 1)
         target_slot = (
-            None if target_key or target == source else slots.setdefault(target, len(slots))
+            None if target_key or target == source else slots.setdefault(target, len(slots) + 1)
         )
         structure.append((source_key, target_key, source_slot, target_slot, position))
-        codes += relation, self_loop
+        codes.append((relation, self_loop, bool(source_key) + 2 * bool(target_key)))
     return tuple(structure), tuple(codes)
 
 
 def _source(structure: tuple[_Step, ...]) -> str:
     """Python source of the search for a plan ``structure``.
 
-    It defines ``search(get, empty, codes)``, which returns one generator
+    It defines ``search(empty, tables)``, which returns one generator
     expression over the embeddings and a function that reads the count of
-    placed steps.  The expression first unpacks ``get``, ``empty`` and
-    ``codes``, as ``r<i>, l<i>`` for step ``i``'s relation code and
-    self-loop flag, into its own locals; ``empty``, the bucket of a missing
-    key, is an argument so that the code holds no tuple constant.  Step ``i`` is the clause ``for
-    e<i> in get((r<i>, l<i>, source, target), empty)``, with an unbound
-    endpoint given as ``""``.  Each node it binds is the local ``n<slot>``,
-    bound by the clause ``for n<slot> in (e<i>[field],)``.  One ``if``
-    clause then skips the candidate when a node it binds equals a node
-    bound before it, and otherwise stores the flag ``f<i> = 1``; the count
-    is the sum of the flags.  The last step stores no flag, because only
-    the steps before it decide the failing prefix (see ``_embeddings``).
+    placed steps.  The expression first unpacks ``empty`` and ``tables``,
+    as ``t<i>`` for step ``i``'s lookup table, into its own locals;
+    ``empty``, the bucket of a missing key, is an argument so that the
+    code holds no tuple constant.  Step ``i`` is the clause ``for e<i> in
+    t<i>.get((key), empty)``, where the key is ``None``, the node the step
+    keys on, or both of its endpoints as ``n<a>, n<b>``.  Each node it
+    binds is the local ``n<slot>``, bound by the clause ``for n<slot> in
+    (e<i>[field],)``.  One ``if`` clause then skips the candidate when a
+    node it binds equals a node bound before it, and otherwise stores the
+    flag ``f<i> = 1``; the count is the sum of the flags.  The last step
+    stores no flag, because only the steps before it decide the failing
+    prefix (see ``_embeddings``).
 
     A new node is compared with ``!=`` only against the earlier nodes of
     its window, so the source grows linearly with the plan.  A window
@@ -504,22 +502,21 @@ def _source(structure: tuple[_Step, ...]) -> str:
     frozenset of every node bound before slot ``slot``, and each node of
     the next window is tested against it with ``not in``.  The expression
     yields the image of every embedding, aligned with the fragment.  The
-    source holds only integers, ``""`` and names made here.
+    source holds only integers and names made here.
     """
     last = len(structure) - 1
     image = "".join(f"e{i}, " for _, i in sorted((step[4], i) for i, step in enumerate(structure)))
-    codes = "".join(f"r{i}, l{i}, " for i in range(last + 1))
+    tables = "".join(f"t{i}, " for i in range(last + 1))
     lines = [
-        "def search(get, empty, codes):",
+        "def search(empty, tables):",
         "".join(f"f{i} = " for i in range(last)) + "0",
         f"return (({image})",
-        f"for get, empty, ({codes}) in ((get, empty, codes),)",
+        f"for empty, ({tables}) in ((empty, tables),)",
     ]
     start, bound = 1, 0  # the first slot of the open window, the last slot bound
     for i, (source_key, target_key, source_slot, target_slot, _) in enumerate(structure):
-        source = f"n{source_key}" if source_key else '""'
-        target = f"n{target_key}" if target_key else '""'
-        lines.append(f"for e{i} in get((r{i}, l{i}, {source}, {target}), empty)")
+        key = ", ".join(f"n{slot}" for slot in (source_key, target_key) if slot) or "None"
+        lines.append(f"for e{i} in t{i}.get(({key}), empty)")
         tests = []
         for field, slot in enumerate((source_slot, target_slot)):
             if slot:
@@ -543,8 +540,8 @@ def _compiled(structure: tuple[_Step, ...]) -> Callable[..., tuple[Iterator, Cal
     """The generated search for a plan ``structure`` (see ``_source``),
     compiled once and kept for the 512 most recently used structures.
     Compiling a structure takes about 0.4 ms, and a kept one holds about
-    0.7 KiB per step (Python 3.11, 2 CPUs); a 44-pattern catalog against a
-    2,000-edge model compiles about 110.  The function is taken out of the
+    0.6 KiB per step (Python 3.11.7, 2 CPUs); a 44-pattern catalog against
+    a 2,000-edge model compiles 107.  The function is taken out of the
     namespace it was defined in, whose dict is its globals, so a dropped
     entry leaves no reference cycle behind."""
     namespace: dict[str, object] = {}
@@ -560,12 +557,13 @@ def _embeddings(
     position-wise with ``fragment``.
 
     The search is the code that ``_compiled`` generated for the structure
-    of the fragment's plan, run with the fragment's relation codes and
-    self-loop flags.  It has one ``for`` clause per plan step, takes each
-    step's candidates from one lookup in the index, and checks a candidate
-    only at the endpoints its step binds, by comparing each new node with
-    the nodes bound before it.  The mapping stays injective, so distinct
-    pattern edges always land on distinct system edges.
+    of the fragment's plan, run with the index table that each step's code
+    names, looked up once here; a code the system lacks gets an empty one.
+    It has one ``for`` clause per plan step, takes each step's candidates
+    from one lookup in its table, and checks a candidate only at the
+    endpoints its step binds, by comparing each new node with the nodes
+    bound before it.  The mapping stays injective, so distinct pattern
+    edges always land on distinct system edges.
 
     When the search has run to its end, the edges of the plan's first
     ``placed + 1`` steps are appended to ``prefix``, if given, where
@@ -579,7 +577,7 @@ def _embeddings(
     fragment.
     """
     structure, codes = _plan(fragment)
-    images, placed = _compiled(structure)(index.get, (), codes)
+    images, placed = _compiled(structure)((), [index.get(code, {}) for code in codes])
     yield from images
     if prefix is not None:
         prefix.extend(fragment[step[4]] for step in structure[: placed() + 1])
@@ -608,28 +606,20 @@ def _search(
     fragment into which one of them embeds is not searched, and the
     failing prefix of every fruitless search is added to it."""
     found: dict[tuple[EdgeTuple, ...], MatchRow] = {}
-    # Each fragment is decided here, in this order:
-    # 1. The class test: it gets its own index, and it is skipped when an
-    #    earlier representative with the same _shape embeds into that
-    #    index.  An embedding of one n-edge fragment into another sends the
-    #    n edges one-to-one onto the other's, so its injective node map is
-    #    onto as well, and the two are isomorphic.  Searching with the
-    #    representatives' plans keeps the compiled searches few: the plans
-    #    of the many fragments of a dense pattern mostly differ.
-    # 2. Otherwise it becomes a representative.
-    # 3. It is skipped when a failed prefix P embeds into its index:
-    #    followed by an embedding of the fragment into the system, that
-    #    would embed P, because injective typed maps compose.
-    # Searching only the representatives gives the table that searching
-    # every fragment would:
-    # - a fragment hits an image key K only if it is isomorphic to K, by
-    #   the argument of 1, so every fragment that hits K is in K's class,
-    #   and every member of that class hits every key of the class;
-    # - the witness for K is the earliest member of its class in canonical
-    #   order with its first embedding onto K, which is the representative's
-    #   row built below; that member is the first of its twin-leaf orbit,
-    #   so _levels never leaves it out;
-    # - a fragment skipped by 3 has no rows.
+    # A fragment is skipped when an earlier representative of the same
+    # _shape, or a failed prefix P, embeds into its own index; otherwise it
+    # becomes a representative and is searched.  This gives the table that
+    # searching every fragment would:
+    # - an embedding of one n-edge fragment into another is onto, so the
+    #   two are isomorphic and hit the same image keys; the witness for a
+    #   key is the earliest member of its class in canonical order with its
+    #   first embedding onto it, the representative's row built below, and
+    #   that member is the first of its twin-leaf orbit, so _levels keeps it;
+    # - a fragment that contains P has no rows, because injective typed maps
+    #   compose; nor has any later fragment isomorphic to it, which contains
+    #   P too, so it need not become a representative.
+    # Searching with the representatives' plans keeps the compiled searches
+    # few: the plans of the many fragments of a dense pattern mostly differ.
     # The prefix of a fruitless search is the plan's first placed + 1
     # edges, where placed counts the steps that ever placed a candidate:
     # every injective placement of those steps was tried, and the next
@@ -641,11 +631,9 @@ def _search(
     for fragment in fragments:
         own = _SystemIndex(frozenset(fragment))
         bucket = representatives.setdefault(_shape(fragment), [])
-        if any(next(_embeddings(other, own), None) is not None for other in bucket):
+        if any(next(_embeddings(known, own), None) is not None for known in bucket + failed):
             continue
         bucket.append(fragment)
-        if any(next(_embeddings(p, own), None) is not None for p in failed):
-            continue
         prefix: list[EdgeTuple] = []
         for system_images in _embeddings(fragment, index, prefix):
             row = MatchRow(fragment, system_images)
