@@ -95,13 +95,16 @@ def load_catalog(source: str | Path | None = None) -> PatternCatalog:
     ``source`` may be None (built-ins only), a ``.cg`` file, or a directory
     scanned for ``*.cg`` in sorted order.  Each entry is named by its
     ``model`` header, falling back to the filename stem.  Raises
-    ``CatalogError`` for unreadable paths, entries that are not UTF-8 or
-    do not parse, duplicate user names, and patterns that have no edges or
-    are not weakly connected.
+    ``CatalogError`` for an empty path, which would otherwise name the
+    working directory, unreadable paths, entries that are not UTF-8 or do
+    not parse, duplicate user names, and patterns that have no edges or are
+    not weakly connected.
     """
     builtins = builtin_catalog()
     if source is None:
         return builtins
+    if source == "":
+        raise CatalogError("catalog path is empty")
     path = Path(source)
     if path.is_dir():
         files = sorted(path.glob("*.cg"))

@@ -277,8 +277,12 @@ def _write(chunks: Iterable[str]) -> bool:
 
 
 def _resolve_catalog(argument: str | None) -> PatternCatalog:
-    source = argument or os.environ.get(CATALOG_ENV_VAR) or None
-    return load_catalog(source)
+    """The catalog named by ``--catalog``, else by a non-empty
+    ``DPDETECT_CATALOG``, else the built-ins.  An empty ``--catalog`` is
+    passed on, so ``load_catalog`` rejects it."""
+    if argument is None:
+        argument = os.environ.get(CATALOG_ENV_VAR) or None
+    return load_catalog(argument)
 
 
 def _read_model(path_str: str) -> ClassGraph | None:

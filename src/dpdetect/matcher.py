@@ -51,14 +51,13 @@ nothing for any of them, so the plan's first ``Q + 1`` edges, the failing
 prefix, have no embedding into the system.  Nor has any fragment into
 which that prefix embeds, because injective typed maps compose.
 ``detect`` keeps the failing prefixes of one pattern as local state, and
-``_search`` tests each against a class representative's own index, which
-its class test has built already; a fragment that contains one is
-skipped.  Skipped fragments have no rows, so no table changes.  Each
-placement before the last step stores one flag, and the search counts the
-placed steps once it has ended.  A 12-edge gen chain against a gen DAG
-whose paths have at most 6 edges is searched at levels 12 and 6 only: the
-search at level 12 fails with a 7-edge path, which every level between
-contains.
+``_search`` tests each against a fragment's own index, the one its class
+test reads; a fragment that contains one is skipped.  Skipped fragments
+have no rows, so no table changes.  Each placement before the last step
+stores one flag, and the search counts the placed steps once it has
+ended.  A 12-edge gen chain against a gen DAG whose paths have at most 6
+edges is searched at levels 12 and 6 only: the search at level 12 fails
+with a 7-edge path, which every level between contains.
 
 Each search first turns its fragment into a static plan with ``_plan``,
 which fixes the order in which its edges are placed, so which endpoints
@@ -86,11 +85,15 @@ off the aligned edges on demand, in fragment order.  The JSON report sorts
 the mapping keys where order becomes bytes, once per fragment template
 rather than per row, and is written as it is rendered.
 
-There are two caches.  The system index is kept for the most recent
-system edge set, so all levels of all patterns run against one model share
-a single index.  The compiled searches are kept by plan structure in a
-bounded least-recently-used cache, ``_compiled``; nothing is compiled at
-import.
+There are two caches.  The system index is kept with the latest system
+edge set as one ``(system, index)`` pair, ``_kept``, which is replaced as a
+whole, so no reader sees one system with another's index.  A system equal
+to the kept one takes its place after one comparison, and the calls after
+it find it by identity, so all levels of all patterns run against one
+model share a single index even when each run parses the model anew.
+``detect`` fetches the index once, before its level walk.  The compiled
+searches are kept by plan structure in a bounded least-recently-used
+cache, ``_compiled``; nothing is compiled at import.
 
 The image of a connected fragment is connected, so matched images need no
 connectivity check of their own.  A disconnected pattern has no connected
@@ -264,13 +267,26 @@ class _SystemIndex(dict):
             table.update({key: tuple(bucket) for key, bucket in table.items()})
 
 
-@functools.lru_cache(maxsize=1)
+_kept: tuple[frozenset[EdgeTuple] | None, _SystemIndex | None] = (None, None)
+
+
 def _system_index(system: frozenset[EdgeTuple]) -> _SystemIndex:
-    """The index over ``system``, built once and reused while the same
-    system is searched: by every level of ``detect`` and by consecutive
-    patterns run against one model.  ``_SystemIndex`` is looked up at call
-    time, so a replacement of it takes effect on the next system."""
-    return _SystemIndex(system)
+    """The index over ``system``, built once and reused while the same or
+    an equal system is searched: by every pattern run against one model.
+
+    The latest system and its index are kept as the pair ``_kept``, read
+    and replaced as a whole.  A system that is not the kept one is compared
+    with it once: an equal one takes its place with the kept index, so the
+    calls after it match by identity, and any other gets a new index.
+    ``_SystemIndex`` is looked up at call time, so a replacement of it
+    takes effect on the next system."""
+    global _kept
+    kept, index = _kept
+    if system is not kept:
+        if system != kept:
+            index = _SystemIndex(system)
+        _kept = (system, index)
+    return index
 
 
 def _pattern_facts(pattern: frozenset[EdgeTuple]) -> tuple[
@@ -629,9 +645,10 @@ def _search(
     # a fruitless one is already left out by the class test.
     representatives: dict[tuple, list[tuple[EdgeTuple, ...]]] = {}
     for fragment in fragments:
-        own = _SystemIndex(frozenset(fragment))
         bucket = representatives.setdefault(_shape(fragment), [])
-        if any(next(_embeddings(known, own), None) is not None for known in bucket + failed):
+        tests = bucket + failed
+        own = _SystemIndex(frozenset(fragment)) if tests else None
+        if any(next(_embeddings(known, own), None) is not None for known in tests):
             continue
         bucket.append(fragment)
         prefix: list[EdgeTuple] = []
@@ -641,6 +658,22 @@ def _search(
         if len(prefix) < n:
             failed.append(tuple(prefix))
     return MatchTable(level=n, rows=tuple(found[key] for key in sorted(found)))
+
+
+def _edge_sets(
+    system_edges: Iterable[EdgeTuple], pattern_edges: Iterable[EdgeTuple], n: int | None = None
+) -> tuple[frozenset[EdgeTuple], frozenset[EdgeTuple]]:
+    """The system and pattern edge sets of one detection call, once its
+    input rules hold: the pattern has an edge, and the level ``n``, when
+    given, is in 1..|pattern|.  ``detect``, ``find_matches`` and the
+    oracle's two entry points all come through here, so each rule is
+    raised in one place."""
+    system, pattern = frozenset(system_edges), frozenset(pattern_edges)
+    if not pattern:
+        raise EmptyPatternError("pattern has no edges")
+    if n is not None and not 0 < n <= len(pattern):
+        raise LevelOutOfRangeError(f"level must be in 1..{len(pattern)}, got {n}")
+    return system, pattern
 
 
 def find_matches(
@@ -663,12 +696,7 @@ def find_matches(
     ``n`` is not in 1..|pattern| and ``EmptyPatternError`` for an edgeless
     pattern.
     """
-    system = frozenset(system_edges)
-    pattern = frozenset(pattern_edges)
-    if not pattern:
-        raise EmptyPatternError("pattern has no edges")
-    if not 0 < n <= len(pattern):
-        raise LevelOutOfRangeError(f"level must be in 1..{len(pattern)}, got {n}")
+    system, pattern = _edge_sets(system_edges, pattern_edges, n)
     if len(system) < n:
         return MatchTable(level=n)
     return _search(next(_levels(pattern, n))[1], _system_index(system), n, [])
@@ -689,13 +717,10 @@ def detect(
     empty system is valid input and yields absence; an empty pattern is an
     error.
     """
-    system = frozenset(system_edges)
-    pattern = frozenset(pattern_edges)
-    if not pattern:
-        raise EmptyPatternError("pattern has no edges")
-    failed: list[tuple[EdgeTuple, ...]] = []
+    system, pattern = _edge_sets(system_edges, pattern_edges)
+    index, failed = _system_index(system), []
     for n, fragments in _levels(pattern, min(len(pattern), len(system))):
-        table = _search(fragments, _system_index(system), n, failed)
+        table = _search(fragments, index, n, failed)
         if table.rows:
             return DetectionReport(pattern_name, len(pattern), table)
     return DetectionReport(pattern_name, len(pattern), MatchTable(level=0))

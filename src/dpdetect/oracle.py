@@ -4,9 +4,13 @@ This is the slow, obviously-correct route: it enumerates every injective
 assignment of pattern nodes to system nodes outright and keeps those whose
 induced edge images all land in the system edge set, instead of searching
 edge by edge the way the matcher does.  The two share result types but no
-search logic, so a bug in one is unlikely to hide in the other.  Inputs
-are size-guarded: the system because the enumeration is factorial in its
-node count, the pattern because every level walks all of its edge
+search logic, so a bug in one is unlikely to hide in the other; they also
+share the matcher's input gate, ``_edge_sets``, so an empty pattern or a
+level out of range is rejected in one place with one message.  Inputs are
+size-guarded by two fixed limits: the system may have at most
+``DEFAULT_MAX_EDGES`` edges and ``DEFAULT_MAX_NODES`` nodes, because the
+enumeration is factorial in its node count, and the pattern at most
+``DEFAULT_MAX_EDGES`` edges, because every level walks all of its edge
 combinations.
 """
 
@@ -16,13 +20,7 @@ import itertools
 from collections.abc import Iterable
 
 from .graph import EdgeTuple
-from .matcher import (
-    DetectionReport,
-    EmptyPatternError,
-    LevelOutOfRangeError,
-    MatchRow,
-    MatchTable,
-)
+from .matcher import DetectionReport, MatchRow, MatchTable, _edge_sets
 
 __all__ = ["OracleSizeError", "oracle_find_matches", "oracle_detect"]
 
@@ -31,7 +29,7 @@ DEFAULT_MAX_NODES = 8
 
 
 class OracleSizeError(ValueError):
-    """The input exceeds the configured brute-force size guard."""
+    """The input exceeds the brute-force size guard."""
 
 
 def _connected(edges: Iterable[EdgeTuple]) -> bool:
@@ -59,32 +57,26 @@ def oracle_find_matches(
     system_edges: Iterable[EdgeTuple],
     pattern_edges: Iterable[EdgeTuple],
     n: int,
-    *,
-    max_edges: int = DEFAULT_MAX_EDGES,
-    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> MatchTable:
     """Level-``n`` occurrences computed by brute force.
 
-    Semantics match ``matcher.find_matches``; only the enumeration strategy
-    differs.  Raises ``OracleSizeError`` when the system exceeds the size
-    guard (``max_edges`` system edges / ``max_nodes`` system nodes) or the
-    pattern has more than ``max_edges`` edges.
+    Semantics match ``matcher.find_matches``, input errors included; only
+    the enumeration strategy differs.  Raises ``OracleSizeError`` when the
+    system has more than ``DEFAULT_MAX_EDGES`` edges or
+    ``DEFAULT_MAX_NODES`` nodes, or the pattern more than
+    ``DEFAULT_MAX_EDGES`` edges.
     """
-    system = frozenset(system_edges)
-    pattern = frozenset(pattern_edges)
-    if not pattern:
-        raise EmptyPatternError("pattern has no edges")
-    if not 0 < n <= len(pattern):
-        raise LevelOutOfRangeError(f"level must be in 1..{len(pattern)}, got {n}")
+    system, pattern = _edge_sets(system_edges, pattern_edges, n)
     system_nodes = sorted({node for edge in system for node in (edge.source, edge.target)})
-    if len(system) > max_edges or len(system_nodes) > max_nodes:
+    if len(system) > DEFAULT_MAX_EDGES or len(system_nodes) > DEFAULT_MAX_NODES:
         raise OracleSizeError(
             f"system of {len(system)} edges / {len(system_nodes)} nodes exceeds the "
-            f"brute-force guard of {max_edges} edges / {max_nodes} nodes"
+            f"brute-force guard of {DEFAULT_MAX_EDGES} edges / {DEFAULT_MAX_NODES} nodes"
         )
-    if len(pattern) > max_edges:
+    if len(pattern) > DEFAULT_MAX_EDGES:
         raise OracleSizeError(
-            f"pattern of {len(pattern)} edges exceeds the brute-force guard of {max_edges} edges"
+            f"pattern of {len(pattern)} edges exceeds the brute-force guard of "
+            f"{DEFAULT_MAX_EDGES} edges"
         )
     by_endpoints = {(e.source, e.target, e.relation): e for e in system}
     found: dict[frozenset[EdgeTuple], MatchRow] = {}
@@ -117,19 +109,13 @@ def oracle_detect(
     system_edges: Iterable[EdgeTuple],
     pattern_edges: Iterable[EdgeTuple],
     pattern_name: str = "",
-    *,
-    max_edges: int = DEFAULT_MAX_EDGES,
-    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> DetectionReport:
-    """Brute-force counterpart of ``matcher.detect``; same level descent."""
-    system = frozenset(system_edges)
-    pattern = frozenset(pattern_edges)
-    if not pattern:
-        raise EmptyPatternError("pattern has no edges")
+    """Brute-force counterpart of ``matcher.detect``: the same input errors
+    and level descent, each level found by ``oracle_find_matches`` under its
+    size guard."""
+    system, pattern = _edge_sets(system_edges, pattern_edges)
     for level in range(len(pattern), 0, -1):
-        table = oracle_find_matches(
-            system, pattern, level, max_edges=max_edges, max_nodes=max_nodes
-        )
+        table = oracle_find_matches(system, pattern, level)
         if table.rows:
             return DetectionReport(pattern_name, len(pattern), table)
     return DetectionReport(pattern_name, len(pattern), MatchTable(level=0))

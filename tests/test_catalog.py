@@ -127,3 +127,10 @@ def test_duplicate_user_names_rejected(tmp_path):
 def test_missing_path_rejected(tmp_path):
     with pytest.raises(CatalogError, match="not found"):
         load_catalog(tmp_path / "nowhere")
+
+
+def test_empty_path_is_rejected_not_read_as_the_working_directory(tmp_path, monkeypatch):
+    (tmp_path / "observer.cg").write_text("model observer\nassoc s w\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(CatalogError, match="^catalog path is empty$"):
+        load_catalog("")

@@ -430,6 +430,22 @@ def test_catalog_env_var_is_honored(capsys, tmp_path, monkeypatch):
     assert any(line.startswith("observer") for line in out.splitlines())
 
 
+@pytest.mark.parametrize("command", ["list", "detect"])
+def test_empty_catalog_path_is_rejected_not_dropped(capsys, sample_system_path, command):
+    model = [str(sample_system_path)] if command == "detect" else []
+    code, out, err = run(capsys, command, *model, "--catalog", "")
+    assert (code, out, err) == (1, "", "dpdetect: error: catalog path is empty\n")
+
+
+def test_empty_catalog_env_var_means_unset(capsys, monkeypatch):
+    monkeypatch.setenv(CATALOG_ENV_VAR, "")
+    code, out, _ = run(capsys, "list")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == [
+        "composite", "facade", "prototype", "singleton"
+    ]
+
+
 def test_validate_sample_system(capsys, sample_system_path):
     code, out, _ = run(capsys, "validate", str(sample_system_path))
     assert code == 0

@@ -236,7 +236,7 @@ def _system_searches(monkeypatch, system, pattern):
         return original(fragment, index, *rest)
 
     monkeypatch.setattr(matcher, "_embeddings", counting)
-    matcher._system_index.cache_clear()
+    monkeypatch.setattr(matcher, "_kept", (None, None))
     return detect(system, pattern), searched
 
 
@@ -264,7 +264,7 @@ def test_one_system_index_serves_the_whole_catalog(monkeypatch):
             built[indexed == system] += 1
 
     monkeypatch.setattr(matcher, "_SystemIndex", CountingIndex)
-    matcher._system_index.cache_clear()
+    monkeypatch.setattr(matcher, "_kept", (None, None))
     levels = Counter()
     original = matcher._search
 
@@ -280,17 +280,40 @@ def test_one_system_index_serves_the_whole_catalog(monkeypatch):
     assert built[True] == 1
 
 
-def test_index_reuse_across_models_matches_fresh_runs():
+def test_an_equal_system_takes_the_kept_ones_place(monkeypatch):
+    rng = random.Random(33)
+    system = random_system(rng, max_nodes=12, max_edges=40)
+    copy = frozenset(list(system))
+    assert copy == system and copy is not system
+    built = Counter()
+
+    class CountingIndex(matcher._SystemIndex):
+        def __init__(self, indexed):
+            super().__init__(indexed)
+            built[indexed == system] += 1
+
+    monkeypatch.setattr(matcher, "_SystemIndex", CountingIndex)
+    monkeypatch.setattr(matcher, "_kept", (None, None))
+    pattern = CATALOG.get("composite").edges
+    first = detect(system, pattern, "composite")
+    assert matcher._kept[0] is system
+    assert detect(copy, pattern, "composite") == first
+    # The copy is kept in its place with the index built for the first one.
+    assert matcher._kept[0] is copy
+    assert built[True] == 1
+
+
+def test_index_reuse_across_models_matches_fresh_runs(monkeypatch):
     rng = random.Random(32)
     models = [random_system(rng, max_nodes=8, max_edges=14) for _ in range(2)]
     names = CATALOG.names()
 
     def fresh(system, name):
-        matcher._system_index.cache_clear()
+        monkeypatch.setattr(matcher, "_kept", (None, None))
         return detect(system, CATALOG.get(name).edges, name)
 
     expected = {(i, name): fresh(models[i], name) for i in (0, 1) for name in names}
-    matcher._system_index.cache_clear()
+    monkeypatch.setattr(matcher, "_kept", (None, None))
     for i in (0, 1, 0):
         for name in names:
             assert detect(models[i], CATALOG.get(name).edges, name) == expected[i, name]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import dpdetect.oracle
 from dpdetect import (
     EmptyPatternError,
     LevelOutOfRangeError,
@@ -11,6 +12,7 @@ from dpdetect import (
     Verdict,
     builtin_catalog,
     detect,
+    find_matches,
     make_edge,
     oracle_detect,
     oracle_find_matches,
@@ -53,19 +55,22 @@ def test_size_guard_trips_on_large_systems():
         oracle_detect(big, CATALOG.get("facade").edges)
 
 
-def test_size_guard_is_overridable():
+def test_size_guard_reads_its_limits_at_call_time(monkeypatch):
     big = frozenset(make_edge(f"n{i}", f"n{i+1}", 1) for i in range(13))
-    report = oracle_detect(big, CATALOG.get("facade").edges, max_edges=20, max_nodes=20)
+    monkeypatch.setattr(dpdetect.oracle, "DEFAULT_MAX_EDGES", 20)
+    monkeypatch.setattr(dpdetect.oracle, "DEFAULT_MAX_NODES", 20)
+    report = oracle_detect(big, CATALOG.get("facade").edges)
     assert report.verdict is Verdict.COMPLETE
     assert report.occurrences == 13
 
 
-def test_size_guard_trips_on_large_patterns():
+def test_size_guard_trips_on_large_patterns(monkeypatch):
     system = frozenset(make_edge(f"n{i}", f"n{i+1}", 3) for i in range(3))
     chain = frozenset(make_edge(f"p{i}", f"p{i+1}", 3) for i in range(13))
     with pytest.raises(OracleSizeError, match="pattern of 13 edges"):
         oracle_detect(system, chain)
-    report = oracle_detect(system, chain, max_edges=13)
+    monkeypatch.setattr(dpdetect.oracle, "DEFAULT_MAX_EDGES", 13)
+    report = oracle_detect(system, chain)
     assert (report.verdict, report.level, report.occurrences) == (Verdict.PARTIAL, 3, 1)
 
 
@@ -80,6 +85,19 @@ def test_oracle_rejects_bad_levels():
         oracle_find_matches(SAMPLE_SYSTEM, CATALOG.get("facade").edges, 2)
     with pytest.raises(EmptyPatternError):
         oracle_detect(SAMPLE_SYSTEM, frozenset())
+
+
+@pytest.mark.parametrize("entry", [detect, find_matches, oracle_detect, oracle_find_matches])
+def test_every_entry_point_raises_the_same_input_errors(entry):
+    takes_level = entry in (find_matches, oracle_find_matches)
+    with pytest.raises(EmptyPatternError) as empty:
+        entry(SAMPLE_SYSTEM, frozenset(), *((1,) if takes_level else ()))
+    assert str(empty.value) == "pattern has no edges"
+    pattern = CATALOG.get("composite").edges
+    for n in (0, len(pattern) + 1) if takes_level else ():
+        with pytest.raises(LevelOutOfRangeError) as out_of_range:
+            entry(SAMPLE_SYSTEM, pattern, n)
+        assert str(out_of_range.value) == f"level must be in 1..{len(pattern)}, got {n}"
 
 
 def test_oracle_matches_detector_on_random_instances():

@@ -68,7 +68,7 @@ def test_every_public_name_imports():
 
 
 def test_removed_names_are_gone():
-    # The oracle keeps its size guard constants as keyword defaults only.
+    # The oracle keeps its size guard constants as its fixed limits only.
     kept = {"dpdetect.oracle": {"DEFAULT_MAX_EDGES", "DEFAULT_MAX_NODES"}}
     for name in ["dpdetect", "dpdetect.model", "dpdetect.catalog", "dpdetect.matcher",
                  "dpdetect.oracle"]:
