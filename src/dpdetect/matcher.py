@@ -39,17 +39,23 @@ class is searched against the system, because every other member finds
 exactly the same occurrences.  The first member of a class is also the
 first of its orbit, so each row's witness is still the earliest fragment
 in canonical order that reaches its system edges, together with that
-fragment's first embedding onto them in search order.  A generalization
-star thus has one fragment per level: a 16-leaf star against 61 edges with
-15 hubs of in-degree 3 takes about 2.5 ms on a 2-CPU machine.
+fragment's least image onto them (see below).  A generalization star
+thus has one fragment per level: a 16-leaf star against 61 edges with 15
+hubs of in-degree 3 takes about 2.5 ms on a 2-CPU machine.
 
 A search that finds nothing still tells the rest of the walk something.
 ``_plan`` orders a connected fragment so that each prefix of its plan is
 connected.  If the search placed a candidate at steps 1 to ``Q`` only, it
-tried every injective placement of those steps and step ``Q + 1`` placed
-nothing for any of them, so the plan's first ``Q + 1`` edges, the failing
-prefix, have no embedding into the system.  Nor has any fragment into
-which that prefix embeds, because injective typed maps compose.
+tried every injective placement of those steps whose nodes pass their
+type checks, and step ``Q + 1`` placed nothing for any of them.  The
+failing prefix is the plan's first ``Q + 1`` edges plus, for each node
+they bind, the first fragment edge of each type that the node has in the
+fragment but not among them.  Any embedding of that set puts every node
+the first ``Q + 1`` steps bind in its check tables, so the search would
+have placed step ``Q + 1``: the prefix has no embedding into the system.
+Nor has any fragment into which it embeds, because injective typed maps
+compose.  The checks test presence, not counts, so a node's check fails
+only when one of its types is missing, and the prefix stays small.
 ``detect`` keeps the failing prefixes of one pattern as local state, and
 ``_search`` tests each against a fragment's own index, the one its class
 test reads; a fragment that contains one is skipped.  Skipped fragments
@@ -61,29 +67,49 @@ with a 7-edge path, which every level between contains.
 
 Each search first turns its fragment into a static plan with ``_plan``,
 which fixes the order in which its edges are placed, so which endpoints
-are already bound at each step is known before the search starts.  That
-gives each step a code: its relation, its self-loop flag and its kind,
-which says whether it keys on neither endpoint, the source, the target or
-both.  The system index holds one lookup table per code, keyed on ``None``
-or on the bound endpoints, so a step finds its candidates with one lookup
-in its own table, which the search fetches once before it starts.  The
-plan's structure, the slots each step keys its lookup on and the slots it binds,
-is compiled into Python source, one generator expression with one ``for``
+are already bound at each step is known before the search starts.  The
+order is most constrained first, as in RI (Bonnici et al., BMC
+Bioinformatics 2013): the edge with the most endpoints bound, then the
+one whose endpoints have the most distinct edge types in the fragment.
+A node's types are the relation, loop flag and direction of its edges.
+The plan gives each step a code: its relation, its self-loop flag and its
+kind, which says whether it keys on neither endpoint, the source, the
+target or both.  The system index holds one lookup table per code, keyed
+on ``None`` or on the bound endpoints, so a step finds its candidates with
+one lookup in its own table, which the search fetches once before it
+starts.  A type names a table too, the one keyed on the node the type
+belongs to, whose keys are the system nodes with an edge of that type.
+So each node a step binds is also checked, with one ``in`` test per
+table, to have every other type its pattern node has: the
+label-and-degree filter of subgraph matching (Sun and Luo, SIGMOD 2020),
+reduced to presence.  The plan's structure, the slots each step keys its
+lookup on, the slots it binds and the number of checks on each, is
+compiled into Python source, one generator expression with one ``for``
 clause per step, as in query compilation (Neumann, PVLDB 2011);
 ``collections.namedtuple`` builds its ``__new__`` the same way.  The
 tables are arguments, so fragments of one structure share one compiled
 search.  Bound nodes are local variables, and a candidate is checked only
 at the endpoints its step binds, by comparing each new node with the
-nodes bound before it.  A generator expression may hold any number of
-``for`` clauses, so one expression serves a plan of any length.  The
-source holds only integers and names that ``_source`` makes, never text
-from a model or a catalog.  The embeddings, and with them the witnesses,
-follow the plan's order, with each step's candidates taken from sorted
-buckets.  The search yields only each embedding's image, aligned with the
-fragment, and a row stores just that alignment.  Its node mapping is read
-off the aligned edges on demand, in fragment order.  The JSON report sorts
-the mapping keys where order becomes bytes, once per fragment template
-rather than per row, and is written as it is rendered.
+nodes bound before it and by its type checks.  A generator expression
+may hold any number of ``for`` clauses, so one expression serves a plan
+of any length.  The source holds only integers and names that
+``_source`` makes, never text from a model or a catalog.
+
+The witness of a row does not depend on the search order.  The canonical
+order of a fragment places the first remaining edge in fragment order
+that touches a placed node, or else the first remaining edge, and a
+row's witness is the image onto its edges that is least when read in
+that order.  Each step's candidates come from sorted buckets, so the
+search meets the images in lexicographic order when each is read in its
+plan's order.  ``_search`` keeps the lesser image when a key repeats,
+and when the plan's order is the canonical one the first image is
+already the least, so it compares nothing.  Reading images in fragment
+order instead would pick other witnesses.  The search yields only each
+embedding's image, aligned with the fragment, and a row stores just that
+alignment.  Its node mapping is read off the aligned edges on demand, in
+fragment order.  The JSON report sorts the mapping keys where order
+becomes bytes, once per fragment template rather than per row, and is
+written as it is rendered.
 
 There are two caches.  The system index is kept with the latest system
 edge set as one ``(system, index)`` pair, ``_kept``, which is replaced as a
@@ -91,7 +117,8 @@ whole, so no reader sees one system with another's index.  A system equal
 to the kept one takes its place after one comparison, and the calls after
 it find it by identity, so all levels of all patterns run against one
 model share a single index even when each run parses the model anew.
-``detect`` fetches the index once, before its level walk.  The compiled
+``detect`` fetches the index once, before its level walk, and not at all
+for an empty system, which is absent without a walk.  The compiled
 searches are kept by plan structure in a bounded least-recently-used
 cache, ``_compiled``; nothing is compiled at import.
 
@@ -115,6 +142,7 @@ from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import TypeVar
 
 from .graph import EdgeTuple, is_weakly_connected
@@ -445,52 +473,102 @@ def _levels(
             yield n, fragments
 
 
-_Step = tuple[int, int, int | None, int | None, int]
+_Step = tuple[int, int, int | None, int | None, int, int, int]
 _Code = tuple[int, int, int]
 
 # Nodes per injectivity window of the generated search (see ``_source``).
 _WINDOW = 16
 
 
+def _types(edges: Sequence[EdgeTuple]) -> defaultdict[str, dict[_Code, int]]:
+    """Each node's edge types in ``edges``, each mapped to the position of
+    its first edge of that type.  A type is the code of the table that
+    files the node's edges of one relation and loop flag by that node:
+    ``(relation, self_loop, 1)`` for an outgoing edge or a self-loop, and
+    ``(relation, self_loop, 2)`` for an incoming one."""
+    types: defaultdict[str, dict[_Code, int]] = defaultdict(dict)
+    for position, (source, target, relation, self_loop) in enumerate(edges):
+        types[source].setdefault((relation, self_loop, 1), position)
+        if not self_loop:
+            types[target].setdefault((relation, self_loop, 2), position)
+    return types
+
+
+def _canonical(fragment: tuple[EdgeTuple, ...]) -> list[int]:
+    """The positions of ``fragment``'s edges in canonical order, which fixes
+    each row's witness: the first remaining edge in fragment order that
+    touches a node placed before it, or else the first remaining edge."""
+    placed: set[str] = set()
+    remaining, order = list(range(len(fragment))), []
+    while remaining:
+        pick = next((p for p in remaining if not placed.isdisjoint(fragment[p][:2])), remaining[0])
+        remaining.remove(pick)
+        order.append(pick)
+        placed.update(fragment[pick][:2])
+    return order
+
+
 def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[tuple[_Step, ...], tuple[_Code, ...]]:
     """The static search plan for ``fragment``: its structure and its codes.
 
-    Edges are placed in the order that keeps candidate lists narrow: the
-    first remaining edge that touches a node placed before it, or else the
-    first remaining edge.  Which endpoints earlier steps have bound then
-    depends on the order alone, so each step fixes in advance the key it
-    looks up and the nodes it binds.  Node slots are numbered from 1 in the
-    order they are bound.  A step of the structure is ``(source_key,
-    target_key, source_slot, target_slot, position)``: ``*_key`` is the
-    slot whose node goes into the lookup key, or 0 for an endpoint not yet
-    bound; ``*_slot`` is the slot the step binds, or None when the endpoint
-    is bound already; ``position`` is the edge's index in ``fragment``.  A
-    self-loop binds its one slot as its source.  Each step's code is
-    ``(relation, self_loop, kind)``, which names its table in
-    ``_SystemIndex``; the kind is 1 if the step keys on its source plus 2
-    if it keys on its target.  The structure alone fixes the generated
-    search, so fragments that differ only in their codes, such as paths of
-    different relations, share one compiled search.
+    Edges are placed most constrained first: the remaining edge with the
+    most endpoints bound (a self-loop's node counts twice), then the one
+    whose two endpoints have the most distinct types in the fragment (see
+    ``_types``), then the first in fragment order.  So an edge that closes
+    a cycle keys on both its endpoints, and a node with many types is
+    bound early, where its checks prune the most.  Each prefix of a
+    connected fragment's plan is connected.  Each edge's key is a two-item
+    list, raised in place as its endpoints are bound, so ``max`` compares
+    keys without a Python call.
+
+    Which endpoints earlier steps have bound depends on the order alone,
+    so each step fixes in advance the key it looks up, the nodes it binds
+    and the checks on them.  Node slots are numbered from 1 in the order
+    they are bound.  A step of the structure is ``(source_key, target_key,
+    source_slot, target_slot, position, source_checks, target_checks)``:
+    ``*_key`` is the slot whose node goes into the lookup key, or 0 for an
+    endpoint not yet bound; ``*_slot`` is the slot the step binds, or None
+    when the endpoint is bound already; ``position`` is the edge's index in
+    ``fragment``; ``*_checks`` counts the checks on the node bound there,
+    one for each type that node has in the fragment other than the step's
+    own.  A self-loop binds its one slot as its source.  The codes are
+    each step's ``(relation, self_loop, kind)``, which names its table in
+    ``_SystemIndex`` (the kind is 1 if the step keys on its source plus 2
+    if it keys on its target), followed by each check's type in step
+    order, which names the table whose keys are the system nodes with an
+    edge of that type.  The structure alone fixes the generated search, so
+    fragments that differ only in their codes, such as paths of different
+    relations, share one compiled search.
     """
+    types = _types(fragment)
+    # Each edge's key: [endpoints bound, distinct types at its endpoints].
+    keys = [[0, len(types[source]) + len(types[target])] for source, target, _, _ in fragment]
+    incident: defaultdict[str, list[list[int]]] = defaultdict(list)
+    for key, (source, target, _, _) in zip(keys, fragment):
+        incident[source].append(key)
+        incident[target].append(key)
+    remaining = list(range(len(fragment)))
     slots: dict[str, int] = {}
-    remaining = list(enumerate(fragment))
     structure: list[_Step] = []
     codes: list[_Code] = []
+    checks: list[_Code] = []
     while remaining:
-        for pick, (_, edge) in enumerate(remaining):
-            if edge[0] in slots or edge[1] in slots:
-                break
-        else:
-            pick = 0
-        position, (source, target, relation, self_loop) = remaining.pop(pick)
-        source_key, target_key = slots.get(source, 0), slots.get(target, 0)
-        source_slot = None if source_key else slots.setdefault(source, len(slots) + 1)
-        target_slot = (
-            None if target_key or target == source else slots.setdefault(target, len(slots) + 1)
-        )
-        structure.append((source_key, target_key, source_slot, target_slot, position))
-        codes.append((relation, self_loop, bool(source_key) + 2 * bool(target_key)))
-    return tuple(structure), tuple(codes)
+        position = max(remaining, key=keys.__getitem__)
+        remaining.remove(position)
+        source, target, relation, self_loop = fragment[position]
+        step = [slots.get(source, 0), slots.get(target, 0), None, None, position, 0, 0]
+        for field, node in enumerate((source, target)):
+            if node not in slots:
+                step[2 + field] = slots[node] = len(slots) + 1
+                if len(types[node]) > 1:
+                    step[5 + field] = len(types[node]) - 1
+                    own = (relation, self_loop, field + 1)
+                    checks += (code for code in types[node] if code != own)
+                for key in incident[node]:
+                    key[0] += 1
+        structure.append(tuple(step))
+        codes.append((relation, self_loop, bool(step[0]) + 2 * bool(step[1])))
+    return tuple(structure), tuple(codes + checks)
 
 
 def _source(structure: tuple[_Step, ...]) -> str:
@@ -499,17 +577,19 @@ def _source(structure: tuple[_Step, ...]) -> str:
     It defines ``search(empty, tables)``, which returns one generator
     expression over the embeddings and a function that reads the count of
     placed steps.  The expression first unpacks ``empty`` and ``tables``,
-    as ``t<i>`` for step ``i``'s lookup table, into its own locals;
-    ``empty``, the bucket of a missing key, is an argument so that the
-    code holds no tuple constant.  Step ``i`` is the clause ``for e<i> in
+    as ``t<i>`` for step ``i``'s lookup table followed by ``c<j>`` for the
+    table of the ``j``-th type check, into its own locals; ``empty``, the
+    bucket of a missing key, is an argument so that the code holds no
+    tuple constant.  Step ``i`` is the clause ``for e<i> in
     t<i>.get((key), empty)``, where the key is ``None``, the node the step
     keys on, or both of its endpoints as ``n<a>, n<b>``.  Each node it
     binds is the local ``n<slot>``, bound by the clause ``for n<slot> in
     (e<i>[field],)``.  One ``if`` clause then skips the candidate when a
-    node it binds equals a node bound before it, and otherwise stores the
-    flag ``f<i> = 1``; the count is the sum of the flags.  The last step
-    stores no flag, because only the steps before it decide the failing
-    prefix (see ``_embeddings``).
+    node it binds equals a node bound before it or is missing from one of
+    its check tables (``n<slot> in c<j>``), and otherwise stores the flag
+    ``f<i> = 1``; the count is the sum of the flags.  The last step stores
+    no flag, because only the steps before it decide the failing prefix
+    (see ``_embeddings``).
 
     A new node is compared with ``!=`` only against the earlier nodes of
     its window, so the source grows linearly with the plan.  A window
@@ -522,24 +602,26 @@ def _source(structure: tuple[_Step, ...]) -> str:
     """
     last = len(structure) - 1
     image = "".join(f"e{i}, " for _, i in sorted((step[4], i) for i, step in enumerate(structure)))
-    tables = "".join(f"t{i}, " for i in range(last + 1))
+    checks = sum(step[5] + step[6] for step in structure)
+    tables = "".join(f"t{i}, " for i in range(last + 1)) + "".join(f"c{j}, " for j in range(checks))
     lines = [
         "def search(empty, tables):",
         "".join(f"f{i} = " for i in range(last)) + "0",
         f"return (({image})",
         f"for empty, ({tables}) in ((empty, tables),)",
     ]
-    start, bound = 1, 0  # the first slot of the open window, the last slot bound
-    for i, (source_key, target_key, source_slot, target_slot, _) in enumerate(structure):
+    start, bound, check = 1, 0, 0  # the window's first slot, the last slot bound, the next check
+    for i, (source_key, target_key, source_slot, target_slot, _, *counts) in enumerate(structure):
         key = ", ".join(f"n{slot}" for slot in (source_key, target_key) if slot) or "None"
         lines.append(f"for e{i} in t{i}.get(({key}), empty)")
         tests = []
-        for field, slot in enumerate((source_slot, target_slot)):
+        for field, (slot, count) in enumerate(zip((source_slot, target_slot), counts)):
             if slot:
                 lines.append(f"for n{slot} in (e{i}[{field}],)")
                 tests += [f"n{slot} not in w{start}"] if start > 1 else []
                 tests += (f"n{slot} != n{other}" for other in range(start, slot))
-                bound = slot
+                tests += (f"n{slot} in c{j}" for j in range(check, check + count))
+                bound, check = slot, check + count
         tests += [f"(f{i} := 1)"] if i < last else []
         lines += [f"if {' and '.join(tests)}"] if tests else []
         if bound - start >= _WINDOW - 1 and i < last:
@@ -555,11 +637,11 @@ def _source(structure: tuple[_Step, ...]) -> str:
 def _compiled(structure: tuple[_Step, ...]) -> Callable[..., tuple[Iterator, Callable[[], int]]]:
     """The generated search for a plan ``structure`` (see ``_source``),
     compiled once and kept for the 512 most recently used structures.
-    Compiling a structure takes about 0.4 ms, and a kept one holds about
-    0.6 KiB per step (Python 3.11.7, 2 CPUs); a 44-pattern catalog against
-    a 2,000-edge model compiles 107.  The function is taken out of the
-    namespace it was defined in, whose dict is its globals, so a dropped
-    entry leaves no reference cycle behind."""
+    Generating and compiling a structure takes about 0.2 ms, and a kept
+    one holds about 0.6 KiB per step (Python 3.11.7, 2 CPUs); a 44-pattern
+    catalog against a 2,000-edge model compiles 123.  The function is
+    taken out of the namespace it was defined in, whose dict is its
+    globals, so a dropped entry leaves no reference cycle behind."""
     namespace: dict[str, object] = {}
     exec(compile(_source(structure), "<dpdetect search>", "exec"), namespace)
     return namespace.pop("search")
@@ -578,25 +660,33 @@ def _embeddings(
     It has one ``for`` clause per plan step, takes each step's candidates
     from one lookup in its table, and checks a candidate only at the
     endpoints its step binds, by comparing each new node with the nodes
-    bound before it.  The mapping stays injective, so distinct pattern
-    edges always land on distinct system edges.
+    bound before it and testing it against the tables of its checks.  The
+    mapping stays injective, so distinct pattern edges always land on
+    distinct system edges.
 
-    When the search has run to its end, the edges of the plan's first
-    ``placed + 1`` steps are appended to ``prefix``, if given, where
-    ``placed`` counts the steps before the last that ever placed a
-    candidate.  A step is reached only from a placement of the step before
-    it, so those are the first ``placed`` steps.  When ``placed + 1`` steps
+    When the search has run to its end, the failing prefix is appended to
+    ``prefix``, if given: the edges of the plan's first ``placed + 1``
+    steps, where ``placed`` counts the steps before the last that ever
+    placed a candidate, followed in fragment order by the first edge of
+    each type that a node they bind has in the fragment but not among
+    them.  A step is reached only from a placement of the step before it,
+    so those are the first ``placed`` steps.  When ``placed + 1`` steps
     are fewer than the plan's, the search tried every injective placement
-    of the first ``placed``, and step ``placed + 1`` placed no candidate for
-    any of them, so that prefix has no embedding into the system.  A search
-    that yielded an embedding placed every step and appends the whole
-    fragment.
+    of the first ``placed`` that passed its checks, and step ``placed + 1``
+    placed no candidate for any of them.  An embedding of the prefix would
+    pass every check of those steps, because each bound node keeps an
+    edge of each of its types, so the prefix has no embedding into the
+    system.  A search that yielded an embedding placed every step and
+    appends the whole fragment.
     """
     structure, codes = _plan(fragment)
     images, placed = _compiled(structure)((), [index.get(code, {}) for code in codes])
     yield from images
     if prefix is not None:
-        prefix.extend(fragment[step[4]] for step in structure[: placed() + 1])
+        head = [fragment[step[4]] for step in structure[: placed() + 1]]
+        types, held = _types(fragment), _types(head)
+        missing = {types[node][code] for node in held for code in types[node].keys() - held[node]}
+        prefix.extend(head + [fragment[position] for position in sorted(missing)])
 
 
 def _shape(fragment: tuple[EdgeTuple, ...]) -> tuple:
@@ -620,7 +710,9 @@ def _search(
     level in canonical order, against the indexed system.  ``failed``
     holds pattern fragments known to have no embedding into the system; a
     fragment into which one of them embeds is not searched, and the
-    failing prefix of every fruitless search is added to it."""
+    failing prefix of every fruitless search is added to it.  Each row's
+    witness is its fragment's least image onto its edges when read in
+    canonical order (see ``_canonical``)."""
     found: dict[tuple[EdgeTuple, ...], MatchRow] = {}
     # A fragment is skipped when an earlier representative of the same
     # _shape, or a failed prefix P, embeds into its own index; otherwise it
@@ -629,20 +721,23 @@ def _search(
     # - an embedding of one n-edge fragment into another is onto, so the
     #   two are isomorphic and hit the same image keys; the witness for a
     #   key is the earliest member of its class in canonical order with its
-    #   first embedding onto it, the representative's row built below, and
+    #   least image onto it, the representative's row built below, and
     #   that member is the first of its twin-leaf orbit, so _levels keeps it;
+    #   a key thus repeats only within one representative's search;
     # - a fragment that contains P has no rows, because injective typed maps
     #   compose; nor has any later fragment isomorphic to it, which contains
     #   P too, so it need not become a representative.
     # Searching with the representatives' plans keeps the compiled searches
     # few: the plans of the many fragments of a dense pattern mostly differ.
     # The prefix of a fruitless search is the plan's first placed + 1
-    # edges, where placed counts the steps that ever placed a candidate:
-    # every injective placement of those steps was tried, and the next
-    # step placed nothing for any of them (see _embeddings).  It is kept
-    # when it is smaller than the fragment: a search that found an
-    # embedding returns the whole fragment, and a fragment isomorphic to
-    # a fruitless one is already left out by the class test.
+    # edges, where placed counts the steps that ever placed a candidate,
+    # and the first edge of each type that a node they bind lacks among
+    # them: every injective placement of those steps that passed its type
+    # checks was tried, and the next step placed nothing for any of them
+    # (see _embeddings).  It is kept when it is smaller than the fragment:
+    # a search that found an embedding returns the whole fragment, and a
+    # fragment isomorphic to a fruitless one is already left out by the
+    # class test.
     representatives: dict[tuple, list[tuple[EdgeTuple, ...]]] = {}
     for fragment in fragments:
         bucket = representatives.setdefault(_shape(fragment), [])
@@ -652,9 +747,20 @@ def _search(
             continue
         bucket.append(fragment)
         prefix: list[EdgeTuple] = []
-        for system_images in _embeddings(fragment, index, prefix):
-            row = MatchRow(fragment, system_images)
-            found.setdefault(row.system_key(), row)
+        # rank reads an image in canonical order.  It is set when a key
+        # first repeats, to a constant if the plan places the edges in
+        # canonical order, because the search then meets each key's least
+        # image first.
+        rank = None
+        for image in _embeddings(fragment, index, prefix):
+            key = tuple(sorted(image))
+            kept = found.get(key)
+            if kept is not None and rank is None:
+                order = _canonical(fragment)
+                searched = [step[4] for step in _plan(fragment)[0]]
+                rank = itemgetter(*order) if order != searched else lambda _: 0
+            if kept is None or rank(image) < rank(kept.system_edges):
+                found[key] = MatchRow(fragment, image)
         if len(prefix) < n:
             failed.append(tuple(prefix))
     return MatchTable(level=n, rows=tuple(found[key] for key in sorted(found)))
@@ -714,15 +820,16 @@ def detect(
     searched; the first level with occurrences decides the verdict.  The
     failing prefixes that ``_search`` learns on one level are kept for the
     levels below, so a fragment that contains one is never searched.  An
-    empty system is valid input and yields absence; an empty pattern is an
-    error.
+    empty system is valid input and yields absence before any index or
+    fragment is built; an empty pattern is an error.
     """
     system, pattern = _edge_sets(system_edges, pattern_edges)
-    index, failed = _system_index(system), []
-    for n, fragments in _levels(pattern, min(len(pattern), len(system))):
-        table = _search(fragments, index, n, failed)
-        if table.rows:
-            return DetectionReport(pattern_name, len(pattern), table)
+    if system:
+        index, failed = _system_index(system), []
+        for n, fragments in _levels(pattern, min(len(pattern), len(system))):
+            table = _search(fragments, index, n, failed)
+            if table.rows:
+                return DetectionReport(pattern_name, len(pattern), table)
     return DetectionReport(pattern_name, len(pattern), MatchTable(level=0))
 
 

@@ -151,6 +151,20 @@ def test_empty_system_is_absent():
     assert report.occurrences == 0
 
 
+def test_an_empty_system_is_absent_without_a_walk(monkeypatch):
+    # Level 0 of a 12-edge chain would be grown, and the index of an empty
+    # system would replace the kept one.
+    model = edges(("a", "b", 3))
+    kept = (model, matcher._SystemIndex(model))
+    monkeypatch.setattr(matcher, "_kept", kept)
+    grown = []
+    monkeypatch.setattr(matcher, "_grown", lambda *args: grown.append(args) or [])
+    chain = edges(*((f"c{i:02d}", f"c{i + 1:02d}", 3) for i in range(12)))
+    report = detect(frozenset(), chain)
+    assert grown == [] and matcher._kept is kept
+    assert report == oracle_detect(frozenset(), chain)
+
+
 def test_self_match_on_connected_systems():
     rng = random.Random(23)
     hits = 0
@@ -360,6 +374,103 @@ def test_witnesses_match_oracle_on_symmetric_shapes():
     # Partial levels are where a symmetric shape has several isomorphic
     # fragments competing to be a row's witness.
     assert partial >= 100
+
+
+def test_witness_is_least_in_canonical_order_not_in_fragment_order():
+    # Canonical order places (a, z), (c, z), (b, c), (e, z), (d, e): the
+    # least image sends c to x.  Read in fragment order, the least would
+    # send b to p and so c to y.  The search order differs from both.
+    pattern = edges(("a", "z", 1), ("b", "c", 1), ("c", "z", 1), ("d", "e", 1), ("e", "z", 1))
+    system = edges(("w", "zz", 1), ("p", "y", 1), ("y", "zz", 1), ("q", "x", 1), ("x", "zz", 1))
+    fragment = tuple(sorted(pattern))
+    assert [step[4] for step in matcher._plan(fragment)[0]] == [1, 2, 4, 3, 0]
+    report = detect(system, pattern)
+    pairs = [("w", "zz"), ("q", "x"), ("x", "zz"), ("p", "y"), ("y", "zz")]
+    witness = tuple(make_edge(source, target, 1) for source, target in pairs)
+    assert report.verdict is Verdict.COMPLETE
+    assert [row.system_edges for row in report.table.rows] == [witness]
+
+
+def _canonical_order(fragment):
+    """The canonical placement order, stated again: the first remaining
+    edge in fragment order that touches a node placed before it, or else
+    the first remaining edge."""
+    placed, order = set(), []
+    remaining = list(range(len(fragment)))
+    while remaining:
+        pick = next((p for p in remaining if placed & set(fragment[p][:2])), remaining[0])
+        remaining.remove(pick)
+        order.append(pick)
+        placed.update(fragment[pick][:2])
+    return order
+
+
+def _images_onto(fragment, image_edges):
+    """Every aligned image of ``fragment`` onto exactly ``image_edges``,
+    by brute force over the orderings of those edges."""
+    for image in itertools.permutations(image_edges):
+        mapping = {}
+        if all(
+            p[2:] == s[2:]
+            and mapping.setdefault(p.source, s.source) == s.source
+            and mapping.setdefault(p.target, s.target) == s.target
+            for p, s in zip(fragment, image)
+        ) and len(set(mapping.values())) == len(mapping):
+            yield image
+
+
+def _symmetric_instance(rng):
+    """A one-relation cycle, two twin stars joined hub to hub, K2,2, or a
+    star of two 2-edge legs and a leaf, with shuffled node names, against
+    copies of it on a few system nodes plus a few random edges of its
+    relation.  The legged star, half of the instances, is the shape whose
+    least images differ between canonical, search and fragment order."""
+    relation = rng.choice(RELATIONS)
+    kind = rng.choice(("cycle", "twin stars", "K2,2", "legs", "legs", "legs"))
+    if kind == "cycle":
+        size = rng.randint(3, 5)
+        specs = [(f"c{i}", f"c{(i + 1) % size}") for i in range(size)]
+    elif kind == "twin stars":
+        specs = [("h0", "h1")] + [(f"l{hub}{i}", f"h{hub}") for hub in (0, 1) for i in range(2)]
+    elif kind == "K2,2":
+        specs = [(f"a{i}", f"b{j}") for i in range(2) for j in range(2)]
+    else:
+        specs = [(f"f{i}", f"k{i}") for i in range(2)] + [(f"k{i}", "h") for i in range(2)]
+        specs.append(("leaf", "h"))
+    names = sorted({node for spec in specs for node in spec})
+    shuffled = [f"p{i}" for i in range(len(names))]
+    rng.shuffle(shuffled)
+    rename = dict(zip(names, shuffled))
+    pattern = edges(*((rename[s], rename[t], relation) for s, t in specs))
+    pool = [f"s{i}" for i in range(8)]
+    system = set()
+    for _ in range(rng.randint(1, 2)):
+        placed = dict(zip(names, rng.sample(pool, len(names))))
+        system |= edges(*((placed[s], placed[t], relation) for s, t in specs))
+    for _ in range(rng.randint(0, 3)):
+        system.add(make_edge(rng.choice(pool), rng.choice(pool), relation))
+    return frozenset(system), pattern
+
+
+def test_witness_is_the_least_image_in_canonical_order():
+    rng = random.Random(2020)
+    other_first = other_in_fragment_order = 0
+    for _ in range(300):
+        system, pattern = _symmetric_instance(rng)
+        for row in detect(system, pattern).table.rows:
+            fragment = row.pattern_edges
+            images = list(_images_onto(fragment, row.system_edges))
+
+            def least(order):
+                return min(images, key=lambda image: [image[p] for p in order])
+
+            assert row.system_edges == least(_canonical_order(fragment))
+            # Rows whose witness is not the image the search meets first,
+            # nor the least image read in fragment order.
+            plan = [step[4] for step in matcher._plan(fragment)[0]]
+            other_first += least(plan) != row.system_edges
+            other_in_fragment_order += least(range(len(fragment))) != row.system_edges
+    assert other_first >= 20 and other_in_fragment_order >= 20
 
 
 # --- failed prefixes -------------------------------------------------------

@@ -8,7 +8,7 @@ from operator import itemgetter
 
 import pytest
 
-from dpdetect import detect, is_weakly_connected, make_edge, oracle_find_matches
+from dpdetect import detect, is_weakly_connected, make_edge, oracle_detect, oracle_find_matches
 from dpdetect import matcher
 from helpers import RELATIONS, edges, random_system, relabel
 
@@ -102,8 +102,13 @@ def _cycle(length, name="y"):
 @pytest.mark.parametrize("steps", [15, 16, 17, 32, 33])
 def test_plans_across_chunk_boundaries_find_every_image(steps):
     # A window of the generated search closes at 16 nodes, and an n-edge
-    # chain binds n + 1: these plans end on either side of a window boundary.
-    assert len(matcher._plan(tuple(sorted(_chain(steps))))[0]) == steps
+    # chain binds n + 1 in n steps: these plans end on either side of a
+    # window boundary.
+    structure = matcher._plan(tuple(sorted(_chain(steps))))[0]
+    assert len(structure) == steps
+    assert sorted(slot for step in structure for slot in step[2:4] if slot) == list(
+        range(1, steps + 2)
+    )
     # An n-edge chain against an L-edge path: one image per start.
     for length in (steps - 1, steps, steps + 3):
         path = sorted(_chain(length, "s"))
@@ -126,9 +131,14 @@ def test_plans_across_chunk_boundaries_find_every_image(steps):
 
 
 def test_images_stay_aligned_with_the_fragment_when_the_plan_reorders_it():
-    # (c, z) is placed before (b, c), which touches no node placed before it.
+    # c has two edge types, so (b, c) and (c, z) outrank (a, z) and (b, c),
+    # the first of them, is placed first; (c, z) keys on c, and (a, z) on z.
+    # The canonical order places (c, z) before (b, c), which touches no node
+    # placed before it.
     pattern = edges(("a", "z", 3), ("b", "c", 3), ("c", "z", 3))
-    assert [step[4] for step in matcher._plan(tuple(sorted(pattern)))[0]] == [0, 2, 1]
+    fragment = tuple(sorted(pattern))
+    assert [step[4] for step in matcher._plan(fragment)[0]] == [1, 2, 0]
+    assert matcher._canonical(fragment) == [0, 2, 1]
     system = edges(("x", "y", 3), ("u", "v", 3), ("v", "y", 3))
     aligned = tuple(make_edge(s, t, 3) for s, t in (("x", "y"), ("u", "v"), ("v", "y")))
     assert _images(pattern, system) == [aligned]
@@ -176,13 +186,44 @@ def test_failing_prefix_is_learned_across_a_chunk_boundary(monkeypatch):
     assert searched == [40, 20]
 
 
+@pytest.mark.parametrize(
+    "pattern, system",
+    [
+        # A node with an assoc self-loop and a dep out-edge, against nodes
+        # that have only one of the two.
+        (
+            edges(("a", "a", 1), ("a", "b", 2)),
+            edges(("x", "x", 1), ("u", "u", 1), ("y", "z", 2), ("v", "w", 2), ("x", "w", 1)),
+        ),
+        # A node with an assoc and a dep out-edge, against nodes with one.
+        (edges(("a", "b", 1), ("a", "c", 2)), edges(("x", "y", 1), ("u", "v", 2))),
+        # A node with an assoc and a gen in-edge, against nodes with one.
+        (edges(("a", "b", 1), ("c", "b", 3)), edges(("x", "y", 1), ("u", "v", 3), ("v", "y", 2))),
+    ],
+)
+def test_type_checks_reject_every_root_and_learn_the_whole_fragment(pattern, system):
+    # The first plan edge embeds on its own, but every root candidate lacks
+    # one of its node's other types, so step 1 places nothing.  The failing
+    # prefix is that edge plus the first edge of each missing type: here
+    # the whole fragment, which is not learned, so level 1 is searched.
+    fragment = tuple(sorted(pattern))
+    first = fragment[matcher._plan(fragment)[0][0][4]]
+    assert oracle_find_matches(system, [first], 1).rows
+    prefix = []
+    assert _images(pattern, system, prefix) == []
+    assert sorted(prefix) == list(fragment)
+    report = detect(system, pattern)
+    assert report == oracle_detect(system, pattern)
+    assert report.level == 1
+
+
 # Node identifiers that would change the meaning of Python source if any
 # reached it: quotes, backslashes, braces, calls, non-ASCII text, and the
 # names the generated code itself uses.
 ODD_NAMES = [
     '"', "'", '"""', "\\", "\\n", "{", "}", "{0}", "%s", ")", "];",
     "__import__('os').getcwd()", "é", "中文", "e0", "n1", "get", "codes", "t0", "None",
-    "tables", "empty",
+    "tables", "empty", "c0", "c1",
 ]
 
 
