@@ -56,14 +56,15 @@ have placed step ``Q + 1``: the prefix has no embedding into the system.
 Nor has any fragment into which it embeds, because injective typed maps
 compose.  The checks test presence, not counts, so a node's check fails
 only when one of its types is missing, and the prefix stays small.
-``detect`` keeps the failing prefixes of one pattern as local state, and
-``_search`` tests each against a fragment's own index, the one its class
-test reads; a fragment that contains one is skipped.  Skipped fragments
-have no rows, so no table changes.  Each placement before the last step
-stores one flag, and the search counts the placed steps once it has
-ended.  A 12-edge gen chain against a gen DAG whose paths have at most 6
-edges is searched at levels 12 and 6 only: the search at level 12 fails
-with a 7-edge path, which every level between contains.
+``detect`` keeps the failing prefixes of one pattern as local state, each
+with its plan, and ``_search`` tests each against a fragment's own index,
+the one its class test reads; a fragment that contains one is skipped.
+Skipped fragments have no rows, so no table changes.  Each placement
+before the last step stores one flag, and the search counts the placed
+steps once it has ended.  A 12-edge gen chain against a gen DAG whose
+paths have at most 6 edges is searched at levels 12 and 6 only: the
+search at level 12 fails with a 7-edge path, which every level between
+contains.
 
 Each search first turns its fragment into a static plan with ``_plan``,
 which fixes the order in which its edges are placed, so which endpoints
@@ -102,14 +103,14 @@ row's witness is the image onto its edges that is least when read in
 that order.  Each step's candidates come from sorted buckets, so the
 search meets the images in lexicographic order when each is read in its
 plan's order.  ``_search`` keeps the lesser image when a key repeats,
-and when the plan's order is the canonical one the first image is
-already the least, so it compares nothing.  Reading images in fragment
-order instead would pick other witnesses.  The search yields only each
-embedding's image, aligned with the fragment, and a row stores just that
-alignment.  Its node mapping is read off the aligned edges on demand, in
-fragment order.  The JSON report sorts the mapping keys where order
-becomes bytes, once per fragment template rather than per row, and is
-written as it is rendered.
+reading both in canonical order, which it works out once per fragment,
+at the first repeat.  Reading images in fragment order instead would
+pick other witnesses.  The search yields only each embedding's image,
+aligned with the fragment, and a row stores just that alignment.  Its
+node mapping is read off the aligned edges on demand, in fragment order.
+The JSON report sorts the mapping keys where order becomes bytes, once
+per fragment template rather than per row, and is written as it is
+rendered.
 
 There are two caches.  The system index is kept with the latest system
 edge set as one ``(system, index)`` pair, ``_kept``, which is replaced as a
@@ -475,6 +476,7 @@ def _levels(
 
 _Step = tuple[int, int, int | None, int | None, int, int, int]
 _Code = tuple[int, int, int]
+_Plan = tuple[tuple[_Step, ...], tuple[_Code, ...], defaultdict[str, dict[_Code, int]]]
 
 # Nodes per injectivity window of the generated search (see ``_source``).
 _WINDOW = 16
@@ -508,8 +510,10 @@ def _canonical(fragment: tuple[EdgeTuple, ...]) -> list[int]:
     return order
 
 
-def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[tuple[_Step, ...], tuple[_Code, ...]]:
-    """The static search plan for ``fragment``: its structure and its codes.
+def _plan(fragment: Sequence[EdgeTuple]) -> _Plan:
+    """The static search plan for ``fragment``: its structure, its codes
+    and its nodes' types (see ``_types``), which ``_embeddings`` reads to
+    extend a failing prefix.
 
     Edges are placed most constrained first: the remaining edge with the
     most endpoints bound (a self-loop's node counts twice), then the one
@@ -560,15 +564,14 @@ def _plan(fragment: tuple[EdgeTuple, ...]) -> tuple[tuple[_Step, ...], tuple[_Co
         for field, node in enumerate((source, target)):
             if node not in slots:
                 step[2 + field] = slots[node] = len(slots) + 1
-                if len(types[node]) > 1:
-                    step[5 + field] = len(types[node]) - 1
-                    own = (relation, self_loop, field + 1)
-                    checks += (code for code in types[node] if code != own)
+                step[5 + field] = len(types[node]) - 1
+                own = (relation, self_loop, field + 1)
+                checks += (code for code in types[node] if code != own)
                 for key in incident[node]:
                     key[0] += 1
         structure.append(tuple(step))
         codes.append((relation, self_loop, bool(step[0]) + 2 * bool(step[1])))
-    return tuple(structure), tuple(codes + checks)
+    return tuple(structure), tuple(codes + checks), types
 
 
 def _source(structure: tuple[_Step, ...]) -> str:
@@ -648,14 +651,17 @@ def _compiled(structure: tuple[_Step, ...]) -> Callable[..., tuple[Iterator, Cal
 
 
 def _embeddings(
-    fragment: tuple[EdgeTuple, ...], index: _SystemIndex, prefix: list[EdgeTuple] | None = None
+    fragment: tuple[EdgeTuple, ...],
+    index: _SystemIndex,
+    plan: _Plan,
+    prefix: list[EdgeTuple] | None = None,
 ) -> Iterator[tuple[EdgeTuple, ...]]:
     """Yield the image of every injective embedding of ``fragment`` into
     the indexed system: the system edge of each fragment edge, aligned
     position-wise with ``fragment``.
 
     The search is the code that ``_compiled`` generated for the structure
-    of the fragment's plan, run with the index table that each step's code
+    of ``plan``, the fragment's ``_plan``, run with the index table that each step's code
     names, looked up once here; a code the system lacks gets an empty one.
     It has one ``for`` clause per plan step, takes each step's candidates
     from one lookup in its table, and checks a candidate only at the
@@ -679,12 +685,12 @@ def _embeddings(
     system.  A search that yielded an embedding placed every step and
     appends the whole fragment.
     """
-    structure, codes = _plan(fragment)
+    structure, codes, types = plan
     images, placed = _compiled(structure)((), [index.get(code, {}) for code in codes])
     yield from images
     if prefix is not None:
         head = [fragment[step[4]] for step in structure[: placed() + 1]]
-        types, held = _types(fragment), _types(head)
+        held = _types(head)
         missing = {types[node][code] for node in held for code in types[node].keys() - held[node]}
         prefix.extend(head + [fragment[position] for position in sorted(missing)])
 
@@ -704,15 +710,17 @@ def _search(
     fragments: Iterable[tuple[EdgeTuple, ...]],
     index: _SystemIndex,
     n: int,
-    failed: list[tuple[EdgeTuple, ...]],
+    failed: list[tuple[tuple[EdgeTuple, ...], _Plan]],
 ) -> MatchTable:
     """The level-``n`` table of ``fragments``, the eligible fragments of a
     level in canonical order, against the indexed system.  ``failed``
-    holds pattern fragments known to have no embedding into the system; a
-    fragment into which one of them embeds is not searched, and the
-    failing prefix of every fruitless search is added to it.  Each row's
-    witness is its fragment's least image onto its edges when read in
-    canonical order (see ``_canonical``)."""
+    holds pattern fragments known to have no embedding into the system,
+    each with its plan; a fragment into which one of them embeds is not
+    searched, and the failing prefix of every fruitless search is added
+    to it.  Each fragment is planned once, when it is searched or learned,
+    and its plan is kept with it for the class and prefix tests.  Each
+    row's witness is its fragment's least image onto its edges when read
+    in canonical order (see ``_canonical``)."""
     found: dict[tuple[EdgeTuple, ...], MatchRow] = {}
     # A fragment is skipped when an earlier representative of the same
     # _shape, or a failed prefix P, embeds into its own index; otherwise it
@@ -738,31 +746,26 @@ def _search(
     # a search that found an embedding returns the whole fragment, and a
     # fragment isomorphic to a fruitless one is already left out by the
     # class test.
-    representatives: dict[tuple, list[tuple[EdgeTuple, ...]]] = {}
+    representatives: dict[tuple, list[tuple[tuple[EdgeTuple, ...], _Plan]]] = {}
     for fragment in fragments:
         bucket = representatives.setdefault(_shape(fragment), [])
         tests = bucket + failed
         own = _SystemIndex(frozenset(fragment)) if tests else None
-        if any(next(_embeddings(known, own), None) is not None for known in tests):
+        if any(next(_embeddings(known, own, plan), None) for known, plan in tests):
             continue
-        bucket.append(fragment)
+        plan = _plan(fragment)
+        bucket.append((fragment, plan))
         prefix: list[EdgeTuple] = []
-        # rank reads an image in canonical order.  It is set when a key
-        # first repeats, to a constant if the plan places the edges in
-        # canonical order, because the search then meets each key's least
-        # image first.
-        rank = None
-        for image in _embeddings(fragment, index, prefix):
+        rank = None  # reads an image in canonical order, set when a key first repeats
+        for image in _embeddings(fragment, index, plan, prefix):
             key = tuple(sorted(image))
             kept = found.get(key)
             if kept is not None and rank is None:
-                order = _canonical(fragment)
-                searched = [step[4] for step in _plan(fragment)[0]]
-                rank = itemgetter(*order) if order != searched else lambda _: 0
+                rank = itemgetter(*_canonical(fragment))
             if kept is None or rank(image) < rank(kept.system_edges):
                 found[key] = MatchRow(fragment, image)
         if len(prefix) < n:
-            failed.append(tuple(prefix))
+            failed.append((tuple(prefix), _plan(prefix)))
     return MatchTable(level=n, rows=tuple(found[key] for key in sorted(found)))
 
 

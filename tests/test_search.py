@@ -17,7 +17,8 @@ def _images(pattern, system, prefix=None):
     """The images ``_embeddings`` yields for the whole pattern, each checked
     to be an injective node map that carries every edge onto its image."""
     fragment = tuple(sorted(pattern))
-    images = list(matcher._embeddings(fragment, matcher._SystemIndex(frozenset(system)), prefix))
+    index = matcher._SystemIndex(frozenset(system))
+    images = list(matcher._embeddings(fragment, index, matcher._plan(fragment), prefix))
     for image in images:
         mapping = {}
         for edge, target in zip(fragment, image):
