@@ -252,13 +252,18 @@ def _fail(message: str) -> int:
 
 def _write(chunks: Iterable[str]) -> bool:
     """Write ``chunks`` to stdout as they come and flush them, or report
-    one error line and return False when stdout cannot take them.
+    one error line and return False when stdout cannot take them.  Python
+    sets ``sys.stdout`` to None when it starts with its descriptor closed,
+    and such a stdout takes nothing.
 
     After a failed write, text may be left in stdout's buffer, and the
     interpreter would fail to flush it again at exit and exit 120.  So a
     stdout backed by a file descriptor is pointed at the null device, as
     the Python ``signal`` docs advise for ``SIGPIPE``; a stdout without
     one, such as an in-process caller's buffer, is left alone."""
+    if sys.stdout is None:
+        _fail("cannot write the report: stdout is closed")
+        return False
     try:
         for chunk in chunks:
             sys.stdout.write(chunk)

@@ -56,15 +56,15 @@ have placed step ``Q + 1``: the prefix has no embedding into the system.
 Nor has any fragment into which it embeds, because injective typed maps
 compose.  The checks test presence, not counts, so a node's check fails
 only when one of its types is missing, and the prefix stays small.
-``detect`` keeps the failing prefixes of one pattern as local state, each
-with its plan, and ``_search`` tests each against a fragment's own index,
-the one its class test reads; a fragment that contains one is skipped.
-Skipped fragments have no rows, so no table changes.  Each placement
-before the last step stores one flag, and the search counts the placed
-steps once it has ended.  A 12-edge gen chain against a gen DAG whose
-paths have at most 6 edges is searched at levels 12 and 6 only: the
-search at level 12 fails with a 7-edge path, which every level between
-contains.
+``detect`` keeps the plans of one pattern's failing prefixes as local
+state, and ``_search`` tests each against a fragment's own index, the one
+its class test reads; a fragment that contains one is skipped.  Skipped
+fragments have no rows, so no table changes.  The search keeps one mark,
+the number of steps that placed a candidate, which a placement raises
+only when it is the first at its step.  A 12-edge gen chain against a
+gen DAG whose paths have at most 6 edges is searched at levels 12 and 6
+only: the search at level 12 fails with a 7-edge path, which every level
+between contains.
 
 Each search first turns its fragment into a static plan with ``_plan``,
 which fixes the order in which its edges are placed, so which endpoints
@@ -92,9 +92,9 @@ tables are arguments, so fragments of one structure share one compiled
 search.  Bound nodes are local variables, and a candidate is checked only
 at the endpoints its step binds, by comparing each new node with the
 nodes bound before it and by its type checks.  A generator expression
-may hold any number of ``for`` clauses, so one expression serves a plan
-of any length.  The source holds only integers and names that
-``_source`` makes, never text from a model or a catalog.
+may hold any number of ``for`` clauses and the mark is one name, so one
+expression serves a plan of any length.  The source holds only integers
+and names that ``_source`` makes, never text from a model or a catalog.
 
 The witness of a row does not depend on the search order.  The canonical
 order of a fragment places the first remaining edge in fragment order
@@ -476,7 +476,8 @@ def _levels(
 
 _Step = tuple[int, int, int | None, int | None, int, int, int]
 _Code = tuple[int, int, int]
-_Plan = tuple[tuple[_Step, ...], tuple[_Code, ...], defaultdict[str, dict[_Code, int]]]
+_Plan = tuple[tuple[_Step, ...], tuple[_Code, ...]]
+_Search = tuple[Iterator[tuple[EdgeTuple, ...]], Callable[[], int]]
 
 # Nodes per injectivity window of the generated search (see ``_source``).
 _WINDOW = 16
@@ -496,6 +497,28 @@ def _types(edges: Sequence[EdgeTuple]) -> defaultdict[str, dict[_Code, int]]:
     return types
 
 
+def _failing_prefix(fragment: tuple[EdgeTuple, ...], plan: _Plan, placed: int) -> list[EdgeTuple]:
+    """The failing prefix of a search of ``fragment`` with its ``plan`` in
+    which ``placed`` steps before the last ever placed a candidate: the
+    edges of the plan's first ``placed + 1`` steps, followed in fragment
+    order by the first edge of each type that a node they bind has in the
+    fragment but not among them (see ``_types``).
+
+    A step is reached only from a placement of the step before it, so the
+    steps that placed are the first ``placed``.  When ``placed + 1`` steps
+    are fewer than the plan's, the search tried every injective placement
+    of the first ``placed`` that passed its checks, and step ``placed + 1``
+    placed no candidate for any of them.  An embedding of the prefix would
+    pass every check of those steps, because each bound node keeps an edge
+    of each of its types, so the prefix has no embedding into the system.
+    A search that found an embedding placed every step, and its prefix is
+    the whole fragment."""
+    head = [fragment[step[4]] for step in plan[0][: placed + 1]]
+    types, held = _types(fragment), _types(head)
+    missing = {types[node][code] for node in held for code in types[node].keys() - held[node]}
+    return head + [fragment[position] for position in sorted(missing)]
+
+
 def _canonical(fragment: tuple[EdgeTuple, ...]) -> list[int]:
     """The positions of ``fragment``'s edges in canonical order, which fixes
     each row's witness: the first remaining edge in fragment order that
@@ -511,9 +534,8 @@ def _canonical(fragment: tuple[EdgeTuple, ...]) -> list[int]:
 
 
 def _plan(fragment: Sequence[EdgeTuple]) -> _Plan:
-    """The static search plan for ``fragment``: its structure, its codes
-    and its nodes' types (see ``_types``), which ``_embeddings`` reads to
-    extend a failing prefix.
+    """The static search plan for ``fragment``: its structure and its
+    codes.
 
     Edges are placed most constrained first: the remaining edge with the
     most endpoints bound (a self-loop's node counts twice), then the one
@@ -571,28 +593,31 @@ def _plan(fragment: Sequence[EdgeTuple]) -> _Plan:
                     key[0] += 1
         structure.append(tuple(step))
         codes.append((relation, self_loop, bool(step[0]) + 2 * bool(step[1])))
-    return tuple(structure), tuple(codes + checks), types
+    return tuple(structure), tuple(codes + checks)
 
 
 def _source(structure: tuple[_Step, ...]) -> str:
     """Python source of the search for a plan ``structure``.
 
     It defines ``search(empty, tables)``, which returns one generator
-    expression over the embeddings and a function that reads the count of
-    placed steps.  The expression first unpacks ``empty`` and ``tables``,
-    as ``t<i>`` for step ``i``'s lookup table followed by ``c<j>`` for the
-    table of the ``j``-th type check, into its own locals; ``empty``, the
-    bucket of a missing key, is an argument so that the code holds no
-    tuple constant.  Step ``i`` is the clause ``for e<i> in
-    t<i>.get((key), empty)``, where the key is ``None``, the node the step
-    keys on, or both of its endpoints as ``n<a>, n<b>``.  Each node it
-    binds is the local ``n<slot>``, bound by the clause ``for n<slot> in
-    (e<i>[field],)``.  One ``if`` clause then skips the candidate when a
-    node it binds equals a node bound before it or is missing from one of
-    its check tables (``n<slot> in c<j>``), and otherwise stores the flag
-    ``f<i> = 1``; the count is the sum of the flags.  The last step stores
-    no flag, because only the steps before it decide the failing prefix
-    (see ``_embeddings``).
+    expression over the embeddings and a function that reads the mark
+    ``d``, the count of placed steps.  The expression first unpacks
+    ``empty`` and ``tables``, as ``t<i>`` for step ``i``'s lookup table
+    followed by ``c<j>`` for the table of the ``j``-th type check, into its
+    own locals; ``empty``, the bucket of a missing key, is an argument so
+    that the code holds no tuple constant.  Step ``i`` is the clause ``for
+    e<i> in t<i>.get((key), empty)``, where the key is ``None``, the node
+    the step keys on, or both of its endpoints as ``n<a>, n<b>``.  Each
+    node it binds is the local ``n<slot>``, bound by the clause ``for
+    n<slot> in (e<i>[field],)``.  One ``if`` clause then skips the
+    candidate when a node it binds equals a node bound before it or is
+    missing from one of its check tables (``n<slot> in c<j>``), and
+    otherwise raises the mark ``d`` to ``i + 1`` unless it is past ``i``
+    already, with the test ``(d > i or (d := i + 1))``.  A step is reached
+    only from a placement of the step before it, so the steps that ever
+    placed a candidate form a prefix of the plan, and the mark counts them.
+    The last step has no test of the mark, because only the steps before
+    it decide the failing prefix (see ``_failing_prefix``).
 
     A new node is compared with ``!=`` only against the earlier nodes of
     its window, so the source grows linearly with the plan.  A window
@@ -609,7 +634,7 @@ def _source(structure: tuple[_Step, ...]) -> str:
     tables = "".join(f"t{i}, " for i in range(last + 1)) + "".join(f"c{j}, " for j in range(checks))
     lines = [
         "def search(empty, tables):",
-        "".join(f"f{i} = " for i in range(last)) + "0",
+        "d = 0",
         f"return (({image})",
         f"for empty, ({tables}) in ((empty, tables),)",
     ]
@@ -625,19 +650,19 @@ def _source(structure: tuple[_Step, ...]) -> str:
                 tests += (f"n{slot} != n{other}" for other in range(start, slot))
                 tests += (f"n{slot} in c{j}" for j in range(check, check + count))
                 bound, check = slot, check + count
-        tests += [f"(f{i} := 1)"] if i < last else []
+        tests += [f"(d > {i} or (d := {i + 1}))"] if i < last else []
         lines += [f"if {' and '.join(tests)}"] if tests else []
         if bound - start >= _WINDOW - 1 and i < last:
             union = f"w{start}.union" if start > 1 else "frozenset"
             nodes = "".join(f"n{slot}, " for slot in range(start, bound + 1))
             lines.append(f"for w{bound + 1} in ({union}(({nodes})),)")
             start = bound + 1
-    lines.append("), lambda: " + "".join(f"f{i} + " for i in range(last)) + "0")
+    lines.append("), lambda: d")
     return "\n ".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=512)
-def _compiled(structure: tuple[_Step, ...]) -> Callable[..., tuple[Iterator, Callable[[], int]]]:
+def _compiled(structure: tuple[_Step, ...]) -> Callable[..., _Search]:
     """The generated search for a plan ``structure`` (see ``_source``),
     compiled once and kept for the 512 most recently used structures.
     Generating and compiling a structure takes about 0.2 ms, and a kept
@@ -650,49 +675,25 @@ def _compiled(structure: tuple[_Step, ...]) -> Callable[..., tuple[Iterator, Cal
     return namespace.pop("search")
 
 
-def _embeddings(
-    fragment: tuple[EdgeTuple, ...],
-    index: _SystemIndex,
-    plan: _Plan,
-    prefix: list[EdgeTuple] | None = None,
-) -> Iterator[tuple[EdgeTuple, ...]]:
-    """Yield the image of every injective embedding of ``fragment`` into
-    the indexed system: the system edge of each fragment edge, aligned
-    position-wise with ``fragment``.
+def _embeddings(index: _SystemIndex, plan: _Plan) -> _Search:
+    """The images of every injective embedding of a fragment into the
+    indexed system, each the system edge of each fragment edge aligned
+    position-wise with the fragment, and a function that reads how many
+    steps before the last ever placed a candidate.
 
     The search is the code that ``_compiled`` generated for the structure
-    of ``plan``, the fragment's ``_plan``, run with the index table that each step's code
-    names, looked up once here; a code the system lacks gets an empty one.
-    It has one ``for`` clause per plan step, takes each step's candidates
-    from one lookup in its table, and checks a candidate only at the
-    endpoints its step binds, by comparing each new node with the nodes
-    bound before it and testing it against the tables of its checks.  The
-    mapping stays injective, so distinct pattern edges always land on
-    distinct system edges.
-
-    When the search has run to its end, the failing prefix is appended to
-    ``prefix``, if given: the edges of the plan's first ``placed + 1``
-    steps, where ``placed`` counts the steps before the last that ever
-    placed a candidate, followed in fragment order by the first edge of
-    each type that a node they bind has in the fragment but not among
-    them.  A step is reached only from a placement of the step before it,
-    so those are the first ``placed`` steps.  When ``placed + 1`` steps
-    are fewer than the plan's, the search tried every injective placement
-    of the first ``placed`` that passed its checks, and step ``placed + 1``
-    placed no candidate for any of them.  An embedding of the prefix would
-    pass every check of those steps, because each bound node keeps an
-    edge of each of its types, so the prefix has no embedding into the
-    system.  A search that yielded an embedding placed every step and
-    appends the whole fragment.
+    of ``plan``, the fragment's ``_plan``, run with the index table that
+    each step's code names, looked up once here; a code the system lacks
+    gets an empty one.  It has one ``for`` clause per plan step, takes each
+    step's candidates from one lookup in its table, and checks a candidate
+    only at the endpoints its step binds, by comparing each new node with
+    the nodes bound before it and testing it against the tables of its
+    checks.  The mapping stays injective, so distinct pattern edges always
+    land on distinct system edges.  The count is final once the images
+    have run out, and ``_search`` then passes it to ``_failing_prefix``.
     """
-    structure, codes, types = plan
-    images, placed = _compiled(structure)((), [index.get(code, {}) for code in codes])
-    yield from images
-    if prefix is not None:
-        head = [fragment[step[4]] for step in structure[: placed() + 1]]
-        held = _types(head)
-        missing = {types[node][code] for node in held for code in types[node].keys() - held[node]}
-        prefix.extend(head + [fragment[position] for position in sorted(missing)])
+    structure, codes = plan
+    return _compiled(structure)((), [index.get(code, {}) for code in codes])
 
 
 def _shape(fragment: tuple[EdgeTuple, ...]) -> tuple:
@@ -710,17 +711,17 @@ def _search(
     fragments: Iterable[tuple[EdgeTuple, ...]],
     index: _SystemIndex,
     n: int,
-    failed: list[tuple[tuple[EdgeTuple, ...], _Plan]],
+    failed: list[_Plan],
 ) -> MatchTable:
     """The level-``n`` table of ``fragments``, the eligible fragments of a
     level in canonical order, against the indexed system.  ``failed``
-    holds pattern fragments known to have no embedding into the system,
-    each with its plan; a fragment into which one of them embeds is not
-    searched, and the failing prefix of every fruitless search is added
+    holds the plans of pattern fragments known to have no embedding into
+    the system; a fragment into which one of them embeds is not searched,
+    and the plan of the failing prefix of every fruitless search is added
     to it.  Each fragment is planned once, when it is searched or learned,
-    and its plan is kept with it for the class and prefix tests.  Each
-    row's witness is its fragment's least image onto its edges when read
-    in canonical order (see ``_canonical``)."""
+    and only its plan is kept for the class and prefix tests, which read
+    nothing else.  Each row's witness is its fragment's least image onto
+    its edges when read in canonical order (see ``_canonical``)."""
     found: dict[tuple[EdgeTuple, ...], MatchRow] = {}
     # A fragment is skipped when an earlier representative of the same
     # _shape, or a failed prefix P, embeds into its own index; otherwise it
@@ -738,34 +739,35 @@ def _search(
     # Searching with the representatives' plans keeps the compiled searches
     # few: the plans of the many fragments of a dense pattern mostly differ.
     # The prefix of a fruitless search is the plan's first placed + 1
-    # edges, where placed counts the steps that ever placed a candidate,
-    # and the first edge of each type that a node they bind lacks among
-    # them: every injective placement of those steps that passed its type
-    # checks was tried, and the next step placed nothing for any of them
-    # (see _embeddings).  It is kept when it is smaller than the fragment:
-    # a search that found an embedding returns the whole fragment, and a
-    # fragment isomorphic to a fruitless one is already left out by the
-    # class test.
-    representatives: dict[tuple, list[tuple[tuple[EdgeTuple, ...], _Plan]]] = {}
+    # edges, where placed is the search's mark, the number of steps that
+    # ever placed a candidate, and the first edge of each type that a node
+    # they bind lacks among them: every injective placement of those steps
+    # that passed its type checks was tried, and the next step placed
+    # nothing for any of them (see _failing_prefix).  Its plan is kept when
+    # the prefix is smaller than the fragment: a search that found an
+    # embedding returns the whole fragment, and a fragment isomorphic to a
+    # fruitless one is already left out by the class test.
+    representatives: dict[tuple, list[_Plan]] = {}
     for fragment in fragments:
         bucket = representatives.setdefault(_shape(fragment), [])
         tests = bucket + failed
         own = _SystemIndex(frozenset(fragment)) if tests else None
-        if any(next(_embeddings(known, own, plan), None) for known, plan in tests):
+        if any(next(_embeddings(own, plan)[0], None) for plan in tests):
             continue
         plan = _plan(fragment)
-        bucket.append((fragment, plan))
-        prefix: list[EdgeTuple] = []
+        bucket.append(plan)
+        images, placed = _embeddings(index, plan)
         rank = None  # reads an image in canonical order, set when a key first repeats
-        for image in _embeddings(fragment, index, plan, prefix):
+        for image in images:
             key = tuple(sorted(image))
             kept = found.get(key)
             if kept is not None and rank is None:
                 rank = itemgetter(*_canonical(fragment))
             if kept is None or rank(image) < rank(kept.system_edges):
                 found[key] = MatchRow(fragment, image)
+        prefix = _failing_prefix(fragment, plan, placed())
         if len(prefix) < n:
-            failed.append((tuple(prefix), _plan(prefix)))
+            failed.append(_plan(prefix))
     return MatchTable(level=n, rows=tuple(found[key] for key in sorted(found)))
 
 

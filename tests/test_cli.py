@@ -26,6 +26,7 @@ CYCLES = Path(__file__).parent / "fixtures" / "cycles"
 WIDE = Path(__file__).parent / "fixtures" / "wide"
 OVERSIZED = Path(__file__).parent / "fixtures" / "oversized"
 DESCENT = Path(__file__).parent / "fixtures" / "descent"
+WITNESS = Path(__file__).parent / "fixtures" / "witness"
 
 COMPLETE_3 = "The design pattern completely exists in the System design with 3 times"
 PARTIAL_3 = "The design pattern partially exists in the System design with 3 times"
@@ -146,6 +147,15 @@ def test_descent_json_report_is_pinned(capsys):
     assert_json_report_is_pinned(capsys, DESCENT)
 
 
+def test_witness_json_report_is_pinned(capsys):
+    # A leaf and two swappable 2-edge legs on one hub, whose plan order
+    # [1, 2, 4, 3, 0] is not its canonical order: each row has two images,
+    # and the pinned witness is the least read in canonical order, which is
+    # neither the first image the search meets nor the least in fragment
+    # order.
+    assert_json_report_is_pinned(capsys, WITNESS)
+
+
 def _record_fragment_sizes(monkeypatch):
     """The edge count of each level detection grows and of each fragment
     it tests for connectivity or searches, by kind, in call order."""
@@ -160,9 +170,9 @@ def _record_fragment_sizes(monkeypatch):
         sizes["connectivity"].append(len(fragment))
         return connected(fragment)
 
-    def searching(fragment, index, *rest):
-        sizes["searched"].append(len(fragment))
-        return embeddings(fragment, index, *rest)
+    def searching(index, plan):
+        sizes["searched"].append(len(plan[0]))
+        return embeddings(index, plan)
 
     monkeypatch.setattr(matcher, "_grown", growing)
     monkeypatch.setattr(matcher, "is_weakly_connected", connectivity)
@@ -659,8 +669,8 @@ def test_module_invocation_is_deterministic(sample_system_path):
     assert json.loads(first.stdout)["model"] == "sample-system"
 
 
-@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-@pytest.mark.parametrize(
+# Every command that writes a report to stdout.
+report_commands = pytest.mark.parametrize(
     "argv",
     [
         ["detect", "{model}"],
@@ -670,6 +680,10 @@ def test_module_invocation_is_deterministic(sample_system_path):
     ],
     ids=["detect-text", "detect-json", "list", "validate"],
 )
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@report_commands
 def test_failed_report_write_is_one_error_line(argv, sample_system_path):
     command = [sys.executable, "-m", "dpdetect"]
     command += [arg.format(model=sample_system_path) for arg in argv]
@@ -682,6 +696,21 @@ def test_failed_report_write_is_one_error_line(argv, sample_system_path):
     assert "Traceback" not in done.stderr
     [line] = done.stderr.splitlines()
     assert line.startswith("dpdetect: error: cannot write the report: ")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+@report_commands
+def test_closed_stdout_is_one_error_line(argv, sample_system_path):
+    # With its descriptor 1 closed, the child starts with sys.stdout None.
+    command = [sys.executable, "-m", "dpdetect"]
+    command += [arg.format(model=sample_system_path) for arg in argv]
+    done = subprocess.run(
+        command, stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1)
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line == "dpdetect: error: cannot write the report: stdout is closed"
 
 
 def test_closed_pipe_is_one_error_line(tmp_path):

@@ -209,9 +209,9 @@ def test_disconnected_pattern_top_level_is_empty_without_a_search(monkeypatch, s
     searched = []
     original = matcher._embeddings
 
-    def counting(fragment, index, *rest):
-        searched.append(fragment)
-        return original(fragment, index, *rest)
+    def counting(index, plan):
+        searched.append(plan)
+        return original(index, plan)
 
     monkeypatch.setattr(matcher, "_embeddings", counting)
     assert find_matches(system, pattern, 2) == MatchTable(level=2)
@@ -244,10 +244,10 @@ def _system_searches(monkeypatch, system, pattern):
     searched = Counter()
     original = matcher._embeddings
 
-    def counting(fragment, index, *rest):
+    def counting(index, plan):
         if index is matcher._system_index(system):
-            searched[len(fragment)] += 1
-        return original(fragment, index, *rest)
+            searched[len(plan[0])] += 1
+        return original(index, plan)
 
     monkeypatch.setattr(matcher, "_embeddings", counting)
     monkeypatch.setattr(matcher, "_kept", (None, None))

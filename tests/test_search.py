@@ -14,11 +14,15 @@ from helpers import RELATIONS, edges, random_system, relabel
 
 
 def _images(pattern, system, prefix=None):
-    """The images ``_embeddings`` yields for the whole pattern, each checked
-    to be an injective node map that carries every edge onto its image."""
+    """The images ``_embeddings`` finds for the whole pattern, each checked
+    to be an injective node map that carries every edge onto its image.
+    The search's failing prefix is appended to ``prefix``, if given."""
     fragment = tuple(sorted(pattern))
-    index = matcher._SystemIndex(frozenset(system))
-    images = list(matcher._embeddings(fragment, index, matcher._plan(fragment), prefix))
+    plan = matcher._plan(fragment)
+    found, placed = matcher._embeddings(matcher._SystemIndex(frozenset(system)), plan)
+    images = list(found)
+    if prefix is not None:
+        prefix.extend(matcher._failing_prefix(fragment, plan, placed()))
     for image in images:
         mapping = {}
         for edge, target in zip(fragment, image):
@@ -157,6 +161,18 @@ def test_a_1000_step_plan_compiles_to_source_linear_in_its_steps():
         assert len(matcher._source(structure)) < 320 * steps
 
 
+def test_a_3000_step_plan_compiles_and_learns_its_failing_prefix():
+    # The search counts its placed steps with one mark, so nothing in its
+    # source nests deeper as the plan grows: a 3,000-edge chain compiles,
+    # finds no image in a 3-edge chain and learns a prefix shorter than it.
+    chain = _chain(3000)
+    prefix = []
+    assert _images(chain, _chain(3, "s"), prefix) == []
+    assert len(prefix) < len(chain) and is_weakly_connected(prefix)
+    source = matcher._source(matcher._plan(tuple(sorted(_chain(5))))[0])
+    assert "f0" not in source and source.count(" := ") == 4
+
+
 @pytest.mark.parametrize("leaves, hub", [(1, 1), (2, 4), (3, 3), (3, 5), (4, 6), (2, 1)])
 def test_star_images_are_the_ordered_leaf_choices(leaves, hub):
     star = edges(*((f"leaf{i}", "hub", 3) for i in range(leaves)))
@@ -176,10 +192,10 @@ def test_failing_prefix_is_learned_across_a_chunk_boundary(monkeypatch):
     searched = []
     original = matcher._embeddings
 
-    def recording(fragment, index, *rest):
+    def recording(index, plan):
         if index is matcher._system_index(system):
-            searched.append(len(fragment))
-        return original(fragment, index, *rest)
+            searched.append(len(plan[0]))
+        return original(index, plan)
 
     monkeypatch.setattr(matcher, "_embeddings", recording)
     report = detect(system, chain)
@@ -224,7 +240,7 @@ def test_type_checks_reject_every_root_and_learn_the_whole_fragment(pattern, sys
 ODD_NAMES = [
     '"', "'", '"""', "\\", "\\n", "{", "}", "{0}", "%s", ")", "];",
     "__import__('os').getcwd()", "é", "中文", "e0", "n1", "get", "codes", "t0", "None",
-    "tables", "empty", "c0", "c1",
+    "tables", "empty", "c0", "c1", "d",
 ]
 
 
