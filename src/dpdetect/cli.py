@@ -39,11 +39,6 @@ _TEMPLATES = {
 }
 
 
-def verdict_sentence(report: DetectionReport) -> str:
-    """The report's one-line outcome sentence."""
-    return _TEMPLATES[report.verdict].format(count=report.occurrences)
-
-
 @dataclass(frozen=True)
 class ReportDocument:
     """Everything one detect run produced, ready for serialization."""
@@ -61,11 +56,13 @@ class ReportDocument:
 def render_text(document: ReportDocument) -> str:
     sections = [f"model: {document.model_name or '(unnamed)'}"]
     for report in document.results:
-        sections.append(f"[{report.pattern_name}]\n{verdict_sentence(report)}")
+        sentence = _TEMPLATES[report.verdict].format(count=report.occurrences)
+        sections.append(f"[{report.pattern_name}]\n{sentence}")
     return "\n\n".join(sections) + "\n"
 
 
-_string = json.JSONEncoder(ensure_ascii=False).encode
+# What ``json.JSONEncoder(ensure_ascii=False).encode`` returns for a ``str``.
+_string = json.encoder.encode_basestring
 
 # Rows per chunk of the JSON report.  The report is written as it is
 # rendered, so no more than one batch of rows is held as text at a time.
@@ -75,18 +72,18 @@ _BATCH_ROWS = 1024
 # raw NUL, since the encoder escapes it, so the mark cannot clash with it.
 _SLOT = "\x00"
 
-# What ``_block`` puts between two rows of a result.
+# What ``_block`` puts between two rows of a result, and what comes before
+# each field of an edge in a row.
 _ROW_SEPARATOR = ",\n" + " " * 8
+_FIELD = "\n" + " " * 14
 
 
 def _block(items: list[str], pad: str, opener: str, closer: str) -> str:
     """Encoded ``items`` one per line inside brackets whose line is
     indented by ``pad``, as ``json.dumps(indent=2)`` lays them out.
 
-    It never runs per row: it lays out each distinct edge once, each
-    fragment's row template once, sorting the mapping keys there, and the
-    report's skeleton once.  Rows only fill template slots, and the report
-    is written as it is rendered, a batch of rows at a time."""
+    It lays out each fragment's row template once, sorting the mapping
+    keys there, and the report's skeleton once, never a row or an edge."""
     if not items:
         return opener + closer
     inner = "\n" + pad + "  "
@@ -110,8 +107,11 @@ class _Encoded(dict):
 
 
 def _edge_json(edge: EdgeTuple) -> str:
-    fields = [_string(edge.source), _string(edge.target), str(edge.relation), str(edge.self_loop)]
-    return _block(fields, " " * 12, "[", "]")
+    source, target, relation, self_loop = edge
+    return (
+        f"[{_FIELD}{_string(source)},{_FIELD}{_string(target)},"
+        f"{_FIELD}{relation},{_FIELD}{self_loop}\n{' ' * 12}]"
+    )
 
 
 def _json_chunks(document: ReportDocument) -> Iterator[str]:
@@ -124,7 +124,8 @@ def _json_chunks(document: ReportDocument) -> Iterator[str]:
     slots from cached edge texts and encoded node names.  The template is
     keyed on the system edge count too, so a row that does not align,
     which ``--verify`` reports but still prints, renders as ``json.dumps``
-    would render it."""
+    would render it.  It checks no identifier (``ClassGraph`` and
+    ``EdgeTuple`` do); ``_string`` escapes whatever a name holds."""
     edge_text = _Encoded(_edge_json)
     node_text = _Encoded(_string)
 

@@ -46,14 +46,13 @@ class RelationKind(IntEnum):
     GENERALIZATION = 3
 
 
-def _check_identifier(value: str, what: str = "node identifier") -> str:
+def _check_identifier(value: str, what: str = "node identifier") -> None:
     # Identifiers must survive the whitespace-tokenized, '#'-commented text
     # format unchanged, hence the character restrictions.
     if not isinstance(value, str) or not value:
         raise InvalidNodeError(f"{what} must be a non-empty string")
     if "#" in value or value.split() != [value]:
         raise InvalidNodeError(f"{what} {value!r} may not contain whitespace or '#'")
-    return value
 
 
 class EdgeTuple(tuple):
@@ -64,13 +63,12 @@ class EdgeTuple(tuple):
     form.  Ordering is lexicographic over the four fields, which doubles as
     the canonical edge order wherever output must be deterministic.
     ``relation`` is accepted as ``RelationKind`` accepts it and stored as
-    the plain ``int`` code, which the members of ``RelationKind`` compare
-    equal to.  Tuples built from an edge's fields, such as the matcher's
-    index keys, then hold only ``str`` and ``int``, and the cyclic garbage
-    collector stops tracking such tuples; an edge itself, a ``tuple``
-    subclass, stays tracked either way.  ``self_loop`` is derived from the
-    endpoints (1 iff source == target) and cannot be supplied by callers,
-    so an inconsistent flag is unrepresentable.
+    the plain ``int`` code, so tuples built from an edge's fields, such as
+    the matcher's index keys, hold only ``str`` and ``int`` and the cyclic
+    garbage collector stops tracking them.  ``self_loop`` is derived from
+    the endpoints (1 iff source == target) and cannot be supplied by
+    callers, so an inconsistent flag is unrepresentable.  Both identifiers
+    are checked here, but not for ``parse_model`` (see ``_assemble``).
     """
 
     __slots__ = ()
@@ -78,9 +76,7 @@ class EdgeTuple(tuple):
     def __new__(cls, source: str, target: str, relation: RelationKind | int) -> "EdgeTuple":
         _check_identifier(source)
         _check_identifier(target)
-        return tuple.__new__(
-            cls, (source, target, int(RelationKind(relation)), 1 if source == target else 0)
-        )
+        return _assemble(cls, source, target, int(RelationKind(relation)))
 
     def __getnewargs__(self) -> tuple[str, str, int]:
         return self[:3]
@@ -100,6 +96,11 @@ class EdgeTuple(tuple):
         return tuple(self)
 
 
+def _assemble(cls: type[EdgeTuple], source: str, target: str, code: int) -> EdgeTuple:
+    """The edge of type ``cls`` with these fields, unchecked (see ``parse_model``)."""
+    return tuple.__new__(cls, (source, target, code, 1 if source == target else 0))
+
+
 def make_edge(source: str, target: str, relation: RelationKind | int) -> EdgeTuple:
     """Build an edge, deriving the self-loop flag from the endpoints."""
     return EdgeTuple(source, target, relation)
@@ -111,7 +112,7 @@ class ClassGraph:
 
     Nodes without any relationship are allowed; multiple edges between the
     same ordered pair are allowed when their relation codes differ.  The
-    name may be empty for anonymous graphs.
+    name may be empty for anonymous graphs.  Each node is checked here, once.
     """
 
     name: str
@@ -125,12 +126,7 @@ class ClassGraph:
         object.__setattr__(self, "edges", frozenset(self.edges))
         for node in self.nodes:
             _check_identifier(node)
-        missing = {
-            endpoint
-            for edge in self.edges
-            for endpoint in (edge.source, edge.target)
-            if endpoint not in self.nodes
-        }
+        missing = {e[0] for e in self.edges}.union([e[1] for e in self.edges]) - self.nodes
         if missing:
             raise GraphIntegrityError(
                 f"edges reference undeclared nodes: {', '.join(sorted(missing))}"
@@ -145,8 +141,7 @@ class ClassGraph:
     ) -> "ClassGraph":
         """Build a graph whose node set is collected from the edges."""
         edge_pool = frozenset(edges)
-        nodes = {e.source for e in edge_pool} | {e.target for e in edge_pool}
-        nodes.update(isolated)
+        nodes = {end for edge in edge_pool for end in edge[:2]}.union(isolated)
         return cls(name=name, nodes=frozenset(nodes), edges=edge_pool)
 
 

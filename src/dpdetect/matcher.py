@@ -744,9 +744,9 @@ def _search(
     # they bind lacks among them: every injective placement of those steps
     # that passed its type checks was tried, and the next step placed
     # nothing for any of them (see _failing_prefix).  Its plan is kept when
-    # the prefix is smaller than the fragment: a search that found an
-    # embedding returns the whole fragment, and a fragment isomorphic to a
-    # fruitless one is already left out by the class test.
+    # it is smaller than the fragment, which needs placed < n - 1; a search
+    # that found an embedding has placed = n - 1.  A fragment isomorphic to
+    # a fruitless one is already left out by the class test.
     representatives: dict[tuple, list[_Plan]] = {}
     for fragment in fragments:
         bucket = representatives.setdefault(_shape(fragment), [])
@@ -765,8 +765,7 @@ def _search(
                 rank = itemgetter(*_canonical(fragment))
             if kept is None or rank(image) < rank(kept.system_edges):
                 found[key] = MatchRow(fragment, image)
-        prefix = _failing_prefix(fragment, plan, placed())
-        if len(prefix) < n:
+        if placed() < n - 1 and len(prefix := _failing_prefix(fragment, plan, placed())) < n:
             failed.append(_plan(prefix))
     return MatchTable(level=n, rows=tuple(found[key] for key in sorted(found)))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .graph import ClassGraph, EdgeTuple, RelationKind, make_edge
+from .graph import ClassGraph, EdgeTuple, RelationKind, _assemble
 
 __all__ = ["ModelSyntaxError", "parse_model", "render_model"]
 
@@ -32,10 +32,10 @@ class ModelSyntaxError(ValueError):
 # first operand to the last.
 _DIRECTIVES = {
     "class": (1, None),
-    "selfassoc": (1, RelationKind.ASSOCIATION),
-    "assoc": (2, RelationKind.ASSOCIATION),
-    "dep": (2, RelationKind.DEPENDENCY),
-    "gen": (2, RelationKind.GENERALIZATION),
+    "selfassoc": (1, RelationKind.ASSOCIATION.value),
+    "assoc": (2, RelationKind.ASSOCIATION.value),
+    "dep": (2, RelationKind.DEPENDENCY.value),
+    "gen": (2, RelationKind.GENERALIZATION.value),
 }
 _WORD_FOR = {relation: word for word, (arity, relation) in _DIRECTIVES.items() if arity == 2}
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
@@ -49,17 +49,19 @@ def parse_model(text: str) -> ClassGraph:
     second explicit line for the same name is a duplicate.  Raises
     ``ModelSyntaxError``, with its line number, for the first line in file
     order that holds an unknown directive, a wrong operand count, a
-    misplaced or duplicate header, or a duplicate class.
+    misplaced or duplicate header, or a duplicate class.  Tokens come from
+    ``str.split()`` of a line cut at ``#``, so they keep the identifier
+    rule: edges are assembled unchecked, and ``ClassGraph`` checks each node.
     """
     name = ""
     nodes: set[str] = set()
     explicit: set[str] = set()
     edges: set[EdgeTuple] = set()
     for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        kind, *operands = line.split()
+        kind, *operands = tokens
         if kind == "model":
             if name:
                 raise ModelSyntaxError("duplicate model header", lineno)
@@ -82,7 +84,7 @@ def parse_model(text: str) -> ClassGraph:
                 raise ModelSyntaxError(f"duplicate class {operands[0]!r}", lineno)
             explicit.add(operands[0])
         else:
-            edges.add(make_edge(operands[0], operands[-1], relation))
+            edges.add(_assemble(EdgeTuple, operands[0], operands[-1], relation))
         nodes.update(operands)
     return ClassGraph(name=name, nodes=frozenset(nodes), edges=frozenset(edges))
 

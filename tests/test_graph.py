@@ -178,6 +178,12 @@ def test_graph_requires_declared_endpoints():
         ClassGraph(name="g", nodes=frozenset({"a"}), edges=frozenset({make_edge("a", "b", 1)}))
 
 
+def test_undeclared_nodes_are_named_once_each_in_sorted_order():
+    pool = frozenset({make_edge("b", "a", 1), make_edge("b", "b", 1), make_edge("c", "a", 2)})
+    with pytest.raises(GraphIntegrityError, match="^edges reference undeclared nodes: a, b$"):
+        ClassGraph(name="g", nodes=frozenset({"c"}), edges=pool)
+
+
 def test_graph_allows_isolated_nodes():
     graph = ClassGraph(name="g", nodes=frozenset({"a", "b", "lone"}),
                        edges=frozenset({make_edge("a", "b", 1)}))
