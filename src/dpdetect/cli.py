@@ -72,8 +72,8 @@ _BATCH_ROWS = 1024
 # raw NUL, since the encoder escapes it, so the mark cannot clash with it.
 _SLOT = "\x00"
 
-# What ``_block`` puts between two rows of a result, and what comes before
-# each field of an edge in a row.
+# What ``_block`` puts between two rows of a result, which starts each row
+# template, and what comes before each field of an edge in a row.
 _ROW_SEPARATOR = ",\n" + " " * 8
 _FIELD = "\n" + " " * 14
 
@@ -98,7 +98,6 @@ class _Encoded(dict):
     """Each key's JSON text, encoded on first use and reused after."""
 
     def __init__(self, encode) -> None:
-        super().__init__()
         self.encode = encode
 
     def __missing__(self, key):
@@ -124,8 +123,13 @@ def _json_chunks(document: ReportDocument) -> Iterator[str]:
     slots from cached edge texts and encoded node names.  The template is
     keyed on the system edge count too, so a row that does not align,
     which ``--verify`` reports but still prints, renders as ``json.dumps``
-    would render it.  It checks no identifier (``ClassGraph`` and
-    ``EdgeTuple`` do); ``_string`` escapes whatever a name holds."""
+    would render it.  A row looks its template up only when its
+    ``pattern_edges`` object or size differs from the row before it, and
+    each template starts with the separator between two rows.  A batch
+    gathers the pieces of all its rows in one list, joined once, and the
+    first batch of a result drops its leading separator.  It checks no
+    identifier (``ClassGraph`` and ``EdgeTuple`` do); ``_string`` escapes
+    whatever a name holds."""
     edge_text = _Encoded(_edge_json)
     node_text = _Encoded(_string)
 
@@ -141,21 +145,24 @@ def _json_chunks(document: ReportDocument) -> Iterator[str]:
             _block([_SLOT] * size, " " * 10, '"system_edges": [', "]"),
             _block([f"{_string(k)}: {_SLOT}" for k in keys], " " * 10, '"mapping": {', "}"),
         ], " " * 8, "{", "}")
-        parts = text.split(_SLOT)
-        pieces = [""] * (2 * len(parts) - 1)
-        pieces[0::2] = parts
-        return pieces, [source[k] for k in keys]
+        # The text between the slots, with a slot after each but the last.
+        pieces = [piece for part in (_ROW_SEPARATOR + text).split(_SLOT) for piece in (part, "")]
+        return pieces[:-1], [source[k] for k in keys]
 
     templates = _Encoded(template)
 
-    def row_texts(rows):
+    def batch_text(rows) -> str:
+        out, shape, size = [], None, -1
         for row in rows:
             system = row.system_edges
-            pieces, sources = templates[row.pattern_edges, len(system)]
+            if row.pattern_edges is not shape or len(system) != size:
+                shape, size = row.pattern_edges, len(system)
+                pieces, sources = templates[shape, size]
             pieces[1::2] = [edge_text[e] for e in system] + [
                 node_text[system[number][end]] for number, end in sources
             ]
-            yield "".join(pieces)
+            out += pieces
+        return "".join(out)
 
     results = []
     for report in document.results:
@@ -178,8 +185,8 @@ def _json_chunks(document: ReportDocument) -> Iterator[str]:
     tables = [report.table.rows for report in document.results if report.table.rows]
     for rows, after in zip(tables, skeleton[1:]):
         for start in range(0, len(rows), _BATCH_ROWS):
-            batch = _ROW_SEPARATOR.join(row_texts(rows[start:start + _BATCH_ROWS]))
-            yield _ROW_SEPARATOR + batch if start else batch
+            batch = batch_text(rows[start:start + _BATCH_ROWS])
+            yield batch if start else batch[len(_ROW_SEPARATOR):]
         yield after
 
 
@@ -202,46 +209,34 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
-        prog="dpdetect",
-        description="Detect design patterns in class-model graphs.",
+        prog="dpdetect", description="Detect design patterns in class-model graphs."
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", metavar="command")
 
     catalog_help = f"extra pattern definitions (.cg file or directory); defaults to ${CATALOG_ENV_VAR}"
 
-    detect_parser = subparsers.add_parser(
-        "detect", help="run pattern detection against a model file"
-    )
-    detect_parser.add_argument("model", help="model file in the .cg line format")
-    which = detect_parser.add_mutually_exclusive_group()
+    detector = subparsers.add_parser("detect", help="run pattern detection against a model file")
+    detector.add_argument("model", help="model file in the .cg line format")
+    which = detector.add_mutually_exclusive_group()
     which.add_argument("--pattern", metavar="NAME", help="detect a single catalog pattern")
-    which.add_argument(
-        "--all", action="store_true", help="detect every catalog pattern (default)"
+    which.add_argument("--all", action="store_true", help="detect every catalog pattern (default)")
+    detector.add_argument("--catalog", metavar="PATH", help=catalog_help)
+    detector.add_argument(
+        "--format", choices=("text", "json"), default="text", help="report format (default: text)"
     )
-    detect_parser.add_argument("--catalog", metavar="PATH", help=catalog_help)
-    detect_parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    detect_parser.add_argument(
+    detector.add_argument(
         "--verify",
         action="store_true",
         help="check every result's rows, and cross-check results against the "
         "brute-force reference (small models only)",
     )
 
-    list_parser = subparsers.add_parser("list", help="list catalog patterns")
-    list_parser.add_argument("--catalog", metavar="PATH", help=catalog_help)
+    lister = subparsers.add_parser("list", help="list catalog patterns")
+    lister.add_argument("--catalog", metavar="PATH", help=catalog_help)
 
-    validate_parser = subparsers.add_parser(
-        "validate", help="parse a model file and report its shape"
-    )
-    validate_parser.add_argument("model", help="model file in the .cg line format")
+    validator = subparsers.add_parser("validate", help="parse a model file and report its shape")
+    validator.add_argument("model", help="model file in the .cg line format")
 
     return parser
 
@@ -334,8 +329,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     else:
         selected = catalog.names()
 
-    results = []
-    failed = []
+    results, failed = [], []
     for name in selected:
         pattern_graph = catalog.get(name)
         report = detect(model.edges, pattern_graph.edges, pattern_name=name)
@@ -349,9 +343,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
             try:
                 reference = oracle_detect(model.edges, pattern_graph.edges, pattern_name=name)
             except OracleSizeError as err:
-                print(
-                    f"dpdetect: verify: reference skipped for {name!r}: {err}", file=sys.stderr
-                )
+                print(f"dpdetect: verify: reference skipped for {name!r}: {err}", file=sys.stderr)
             else:
                 if not _reports_agree(report, reference):
                     failed.append(name)
@@ -409,12 +401,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code
-    if args.command == "detect":
-        return cmd_detect(args)
-    if args.command == "list":
-        return cmd_list(args)
-    if args.command == "validate":
-        return cmd_validate(args)
+    commands = {"detect": cmd_detect, "list": cmd_list, "validate": cmd_validate}
+    if args.command in commands:
+        return commands[args.command](args)
     parser.print_usage(sys.stderr)
     print("dpdetect: error: a command is required", file=sys.stderr)
     return EXIT_ERROR

@@ -106,18 +106,22 @@ plan's order.  ``_search`` keeps the lesser image when a key repeats,
 reading both in canonical order, which it works out once per fragment,
 at the first repeat.  Reading images in fragment order instead would
 pick other witnesses.  The search yields only each embedding's image,
-aligned with the fragment, and a row stores just that alignment.  Its
-node mapping is read off the aligned edges on demand, in fragment order.
-The JSON report sorts the mapping keys where order becomes bytes, once
-per fragment template rather than per row, and is written as it is
-rendered.
+aligned with the fragment, and a row stores just that alignment.  Rows
+are keyed by the sorted ranks of their system edges, which the index
+numbers in sorted order: ranks are one-to-one and rise with the edges,
+so the keys tell edge sets apart and sort as the sorted edges would,
+while comparing ints.  A row's node mapping is read off the aligned
+edges on demand, in fragment order.  The JSON report sorts the mapping
+keys where order becomes bytes, once per fragment template rather than
+per row, and is written as it is rendered.
 
-There are two caches.  The system index is kept with the latest system
-edge set as one ``(system, index)`` pair, ``_kept``, which is replaced as a
-whole, so no reader sees one system with another's index.  A system equal
-to the kept one takes its place after one comparison, and the calls after
-it find it by identity, so all levels of all patterns run against one
-model share a single index even when each run parses the model anew.
+There are two caches.  The system index, ranks included, is kept with
+the latest system edge set as one ``(system, index)`` pair, ``_kept``,
+which is replaced as a whole, so no reader sees one system with another's
+index.  A system equal to the kept one takes its place after one
+comparison, and the calls after it find it by identity, so all levels of
+all patterns run against one model share a single index even when each
+run parses the model anew.
 ``detect`` fetches the index once, before its level walk, and not at all
 for an empty system, which is absent without a walk.  The compiled
 searches are kept by plan structure in a bounded least-recently-used
@@ -132,8 +136,9 @@ patterns outright.
 
 Rows are built from embeddings the search has already checked, so
 ``MatchRow`` and ``MatchTable`` are plain records that do not re-validate
-themselves.  ``check_table`` states every row and table rule in one place;
-the tests and ``dpdetect detect --verify`` run it.
+themselves, and ``MatchRow``, built once per occurrence, has slots.
+``check_table`` states every row and table rule in one place; the tests
+and ``dpdetect detect --verify`` run it.
 """
 
 from __future__ import annotations
@@ -194,7 +199,7 @@ def _node_map(pattern_edges: Iterable[EdgeTuple], images: Iterable[Sequence[_T]]
     return mapping
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchRow:
     """One occurrence: pattern edges aligned position-wise with system edges.
 
@@ -284,16 +289,19 @@ class _SystemIndex(dict):
     its candidates with one lookup in its own table.  Buckets hold sorted
     tuples so iteration order is deterministic, and the self-loop flag in
     every code keeps a non-loop pattern edge from seeing loop candidates.
+    ``rank`` maps each edge to its position in that sorted order, which
+    keys the rows of ``_search``.
     """
 
     def __init__(self, edges: frozenset[EdgeTuple]) -> None:
-        super().__init__()
-        for edge in sorted(edges):
+        self.rank = dict(zip(sorted(edges), range(len(edges))))
+        tables: defaultdict[_Code, defaultdict] = defaultdict(lambda: defaultdict(list))
+        for edge in self.rank:
             source, target, relation, self_loop = edge
             for kind, key in enumerate((None, source, target, (source, target))):
-                self.setdefault((relation, self_loop, kind), {}).setdefault(key, []).append(edge)
-        for table in self.values():
-            table.update({key: tuple(bucket) for key, bucket in table.items()})
+                tables[relation, self_loop, kind][key].append(edge)
+        for code, table in tables.items():
+            self[code] = {key: tuple(bucket) for key, bucket in table.items()}
 
 
 _kept: tuple[frozenset[EdgeTuple] | None, _SystemIndex | None] = (None, None)
@@ -303,10 +311,11 @@ def _system_index(system: frozenset[EdgeTuple]) -> _SystemIndex:
     """The index over ``system``, built once and reused while the same or
     an equal system is searched: by every pattern run against one model.
 
-    The latest system and its index are kept as the pair ``_kept``, read
-    and replaced as a whole.  A system that is not the kept one is compared
-    with it once: an equal one takes its place with the kept index, so the
-    calls after it match by identity, and any other gets a new index.
+    The latest system and its index, ranks included, are kept as the pair
+    ``_kept``, read and replaced as a whole.  A system that is not the kept
+    one is compared with it once: an equal one takes its place with the
+    kept index, so the calls after it match by identity, and any other gets
+    a new index.
     ``_SystemIndex`` is looked up at call time, so a replacement of it
     takes effect on the next system."""
     global _kept
@@ -721,8 +730,10 @@ def _search(
     to it.  Each fragment is planned once, when it is searched or learned,
     and only its plan is kept for the class and prefix tests, which read
     nothing else.  Each row's witness is its fragment's least image onto
-    its edges when read in canonical order (see ``_canonical``)."""
-    found: dict[tuple[EdgeTuple, ...], MatchRow] = {}
+    its edges when read in canonical order (see ``_canonical``), and rows
+    are keyed and ordered by their system edges' sorted ranks."""
+    found: dict[tuple[int, ...], MatchRow] = {}
+    rank = index.rank.__getitem__
     # A fragment is skipped when an earlier representative of the same
     # _shape, or a failed prefix P, embeds into its own index; otherwise it
     # becomes a representative and is searched.  This gives the table that
@@ -757,13 +768,13 @@ def _search(
         plan = _plan(fragment)
         bucket.append(plan)
         images, placed = _embeddings(index, plan)
-        rank = None  # reads an image in canonical order, set when a key first repeats
+        canonical = None  # reads an image in canonical order, set when a key first repeats
         for image in images:
-            key = tuple(sorted(image))
+            key = tuple(sorted(map(rank, image)))
             kept = found.get(key)
-            if kept is not None and rank is None:
-                rank = itemgetter(*_canonical(fragment))
-            if kept is None or rank(image) < rank(kept.system_edges):
+            if kept is not None and canonical is None:
+                canonical = itemgetter(*_canonical(fragment))
+            if kept is None or canonical(image) < canonical(kept.system_edges):
                 found[key] = MatchRow(fragment, image)
         if placed() < n - 1 and len(prefix := _failing_prefix(fragment, plan, placed())) < n:
             failed.append(_plan(prefix))

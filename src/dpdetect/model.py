@@ -12,8 +12,6 @@ line is only required for isolated classes.
 
 from __future__ import annotations
 
-import re
-
 from .graph import ClassGraph, EdgeTuple, RelationKind, _assemble
 
 __all__ = ["ModelSyntaxError", "parse_model", "render_model"]
@@ -38,7 +36,6 @@ _DIRECTIVES = {
     "gen": (2, RelationKind.GENERALIZATION.value),
 }
 _WORD_FOR = {relation: word for word, (arity, relation) in _DIRECTIVES.items() if arity == 2}
-_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 def parse_model(text: str) -> ClassGraph:
@@ -57,7 +54,8 @@ def parse_model(text: str) -> ClassGraph:
     nodes: set[str] = set()
     explicit: set[str] = set()
     edges: set[EdgeTuple] = set()
-    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue

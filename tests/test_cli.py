@@ -311,6 +311,18 @@ def _edge_case_document(case):
     elif case == "absent result":
         system = _pairs(2)
         patterns = {"gen": frozenset([make_edge("c", "p", 3)])}
+    elif case == "fragment switches":
+        # Level 1 of an assoc-then-dep chain against assoc and dep edges that
+        # alternate in sorted order: the rows of the two fragments interleave
+        # and run past one batch.  The second table's rows carry equal but
+        # not identical pattern edge tuples.
+        count = cli._BATCH_ROWS + 3
+        system = frozenset(make_edge(f"x{i:05}", f"y{i:05}", 1 + i % 2) for i in range(count))
+        chain = frozenset([make_edge("a", "b", 1), make_edge("b", "c", 2)])
+        pattern = (make_edge("P", "Q", 1),)
+        rows = tuple(MatchRow(tuple([*pattern]), (make_edge(f"p{i}", f"q{i}", 1),)) for i in range(3))
+        results = (detect(system, chain, "alternating"), DetectionReport("equal", 1, MatchTable(1, rows)))
+        return cli.ReportDocument(case, results, ("alternating", "equal"))
     else:  # "rows that do not align", which --verify reports but still prints
         pattern = (make_edge("P", "Q", 1), make_edge("Q", "R", 1))
         rows = (
@@ -326,7 +338,7 @@ def _edge_case_document(case):
 @pytest.mark.parametrize(
     "case",
     ["template hazards", "rows past one batch", "absent result", "no results",
-     "rows that do not align"],
+     "rows that do not align", "fragment switches"],
 )
 def test_json_chunks_join_to_json_dumps(case):
     document = _edge_case_document(case)
@@ -339,6 +351,15 @@ def test_json_chunks_join_to_json_dumps(case):
         assert rows == [0]
     elif case == "template hazards":
         assert all(rows)
+    elif case == "fragment switches":
+        switching, equal = (report.table.rows for report in document.results)
+        assert len(switching) > cli._BATCH_ROWS
+        assert len({row.pattern_edges for row in switching}) == 2
+        assert all(a.pattern_edges != b.pattern_edges for a, b in zip(switching, switching[1:]))
+        assert all(
+            a.pattern_edges == b.pattern_edges and a.pattern_edges is not b.pattern_edges
+            for a, b in zip(equal, equal[1:])
+        )
 
 
 class _Recorder:

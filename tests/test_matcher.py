@@ -1,8 +1,10 @@
 """Matcher semantics: alignment, level search, verdicts, row checks."""
 
+import copy
 import dataclasses
 import gc
 import itertools
+import pickle
 import random
 from collections import Counter
 from pathlib import Path
@@ -813,6 +815,18 @@ def test_match_row_stores_only_its_alignment():
     assert [field.name for field in dataclasses.fields(MatchRow)] == [
         "pattern_edges", "system_edges",
     ]
+    pattern = (make_edge("P", "Q", 1), make_edge("Q", "R", 2))
+    row = MatchRow(pattern, (make_edge("a", "b", 1), make_edge("b", "c", 2)))
+    assert not hasattr(row, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.system_edges = ()
+    twin = MatchRow(tuple([*pattern]), tuple([*row.system_edges]))
+    assert twin == row and hash(twin) == hash(row)
+    copies = [pickle.loads(pickle.dumps(row, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(row), copy.deepcopy(row), dataclasses.replace(row)]
+    for other in copies:
+        assert type(other) is MatchRow and other == row and hash(other) == hash(row)
+        assert other.mapping == row.mapping == {"P": "a", "Q": "b", "R": "c"}
 
 
 @pytest.mark.parametrize(

@@ -78,6 +78,9 @@ def test_explicit_class_after_auto_declaration_is_fine():
         ("model\n", 1),
         ("class a\r\nassoc a\r\n", 2),
         ("class a\rassoc a\r", 2),
+        # A \r before \r\n, and a \r after \n, each end one more line.
+        ("class a\r\r\nassoc a\n", 3),
+        ("class a\n\rassoc a\n", 3),
         # Only \n, \r\n and \r end a line, though str.splitlines breaks at each of these.
         *((f"class a{sep}\nassoc a\n", 2) for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
     ],
