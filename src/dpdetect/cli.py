@@ -9,9 +9,12 @@ stderr so stdout stays stable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+# What ``json.JSONEncoder(ensure_ascii=False).encode`` returns for a
+# ``str``: the C function behind ``json.encoder.encode_basestring``, taken
+# from ``_json`` so that no process loads the ``json`` package.
+from _json import encode_basestring as _string
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -61,12 +64,11 @@ def render_text(document: ReportDocument) -> str:
     return "\n\n".join(sections) + "\n"
 
 
-# What ``json.JSONEncoder(ensure_ascii=False).encode`` returns for a ``str``.
-_string = json.encoder.encode_basestring
-
 # Rows per chunk of the JSON report.  The report is written as it is
 # rendered, so no more than one batch of rows is held as text at a time.
-_BATCH_ROWS = 1024
+# That text grows with the width of the rows, a few hundred bytes per edge,
+# so a batch is kept small; a smaller one only adds writes.
+_BATCH_ROWS = 256
 
 # Marks a slot to be filled in laid-out JSON.  Encoded text never holds a
 # raw NUL, since the encoder escapes it, so the mark cannot clash with it.

@@ -121,7 +121,10 @@ which is replaced as a whole, so no reader sees one system with another's
 index.  A system equal to the kept one takes its place after one
 comparison, and the calls after it find it by identity, so all levels of
 all patterns run against one model share a single index even when each
-run parses the model anew.
+run parses the model anew.  The index builds each lookup table on its
+first read and keeps it, so it holds only the tables that some search
+has read; a fragment's own index, which the class test reads, builds
+only those of the plans tested against it.
 ``detect`` fetches the index once, before its level walk, and not at all
 for an empty system, which is absent without a walk.  The compiled
 searches are kept by plan structure in a bounded least-recently-used
@@ -276,32 +279,41 @@ class DetectionReport:
         return len(self.table)
 
 
+# Each kind's lookup key of an edge: nothing, the source, the target, both.
+_KEYS = (lambda edge: None, itemgetter(0), itemgetter(1), itemgetter(0, 1))
+
+
 class _SystemIndex(dict):
     """Candidate buckets over the system edge set, one lookup table per
-    kind of search step.
+    kind of search step, each built on its first read.
 
     A step's code ``(relation, self_loop, kind)`` names its table, and the
     kind says which of its endpoints the search has bound: kind 0 keys the
     one bucket of every edge of that relation and loop flag on ``None``,
     kind 1 keys its buckets on the source, kind 2 on the target and kind 3
-    on the pair ``(source, target)``.  Every system edge is filed once in
-    each of the four tables of its relation and loop flag, so a step finds
-    its candidates with one lookup in its own table.  Buckets hold sorted
-    tuples so iteration order is deterministic, and the self-loop flag in
-    every code keeps a non-loop pattern edge from seeing loop candidates.
-    ``rank`` maps each edge to its position in that sorted order, which
-    keys the rows of ``_search``.
+    on the pair ``(source, target)``.  A step finds its candidates with one
+    lookup in its own table.  The index files each system edge once, in
+    sorted order, under its relation and loop flag; a code read for the
+    first time builds its table from those edges and keeps it, and a code
+    the system lacks gets an empty one.  So only the tables that some plan
+    reads are built.  Buckets hold sorted tuples so iteration order is
+    deterministic, and the self-loop flag in every code keeps a non-loop
+    pattern edge from seeing loop candidates.  ``rank`` maps each edge to
+    its position in that sorted order, which keys the rows of ``_search``.
     """
 
     def __init__(self, edges: frozenset[EdgeTuple]) -> None:
         self.rank = dict(zip(sorted(edges), range(len(edges))))
-        tables: defaultdict[_Code, defaultdict] = defaultdict(lambda: defaultdict(list))
+        self.filed: defaultdict[tuple[int, int], list[EdgeTuple]] = defaultdict(list)
         for edge in self.rank:
-            source, target, relation, self_loop = edge
-            for kind, key in enumerate((None, source, target, (source, target))):
-                tables[relation, self_loop, kind][key].append(edge)
-        for code, table in tables.items():
-            self[code] = {key: tuple(bucket) for key, bucket in table.items()}
+            self.filed[edge[2:]].append(edge)
+
+    def __missing__(self, code: _Code) -> dict:
+        key, buckets = _KEYS[code[2]], defaultdict(list)
+        for edge in self.filed.get(code[:2], ()):
+            buckets[key(edge)].append(edge)
+        table = self[code] = {held: tuple(bucket) for held, bucket in buckets.items()}
+        return table
 
 
 _kept: tuple[frozenset[EdgeTuple] | None, _SystemIndex | None] = (None, None)
@@ -692,17 +704,18 @@ def _embeddings(index: _SystemIndex, plan: _Plan) -> _Search:
 
     The search is the code that ``_compiled`` generated for the structure
     of ``plan``, the fragment's ``_plan``, run with the index table that
-    each step's code names, looked up once here; a code the system lacks
-    gets an empty one.  It has one ``for`` clause per plan step, takes each
-    step's candidates from one lookup in its table, and checks a candidate
-    only at the endpoints its step binds, by comparing each new node with
-    the nodes bound before it and testing it against the tables of its
-    checks.  The mapping stays injective, so distinct pattern edges always
-    land on distinct system edges.  The count is final once the images
-    have run out, and ``_search`` then passes it to ``_failing_prefix``.
+    each step's code names, looked up once here; the index builds a table
+    on its first read, and a code the system lacks gets an empty one.  It
+    has one ``for`` clause per plan step, takes each step's candidates from
+    one lookup in its table, and checks a candidate only at the endpoints
+    its step binds, by comparing each new node with the nodes bound before
+    it and testing it against the tables of its checks.  The mapping stays
+    injective, so distinct pattern edges always land on distinct system
+    edges.  The count is final once the images have run out, and
+    ``_search`` then passes it to ``_failing_prefix``.
     """
     structure, codes = plan
-    return _compiled(structure)((), [index.get(code, {}) for code in codes])
+    return _compiled(structure)((), [index[code] for code in codes])
 
 
 def _shape(fragment: tuple[EdgeTuple, ...]) -> tuple:

@@ -27,6 +27,7 @@ WIDE = Path(__file__).parent / "fixtures" / "wide"
 OVERSIZED = Path(__file__).parent / "fixtures" / "oversized"
 DESCENT = Path(__file__).parent / "fixtures" / "descent"
 WITNESS = Path(__file__).parent / "fixtures" / "witness"
+BATCHES = Path(__file__).parent / "fixtures" / "batches"
 
 COMPLETE_3 = "The design pattern completely exists in the System design with 3 times"
 PARTIAL_3 = "The design pattern partially exists in the System design with 3 times"
@@ -154,6 +155,15 @@ def test_witness_json_report_is_pinned(capsys):
     # neither the first image the search meets nor the least in fragment
     # order.
     assert_json_report_is_pinned(capsys, WITNESS)
+
+
+def test_batches_json_report_is_pinned(capsys):
+    # Three hundred association self-loops: the singleton result has one
+    # row per loop, more than one batch, so the report is written in
+    # several chunks that must join to the pinned bytes.
+    assert_json_report_is_pinned(capsys, BATCHES)
+    results = json.loads((BATCHES / "expected.json").read_text("utf-8"))["results"]
+    assert max(len(result["rows"]) for result in results) > cli._BATCH_ROWS
 
 
 def _record_fragment_sizes(monkeypatch):

@@ -8,7 +8,14 @@ from operator import itemgetter
 
 import pytest
 
-from dpdetect import detect, is_weakly_connected, make_edge, oracle_detect, oracle_find_matches
+from dpdetect import (
+    builtin_catalog,
+    detect,
+    is_weakly_connected,
+    make_edge,
+    oracle_detect,
+    oracle_find_matches,
+)
 from dpdetect import matcher
 from helpers import RELATIONS, edges, random_system, relabel
 
@@ -74,26 +81,95 @@ def test_images_match_the_oracle_on_random_patterns():
     assert found >= 120 and loops >= 40 and relations >= 20
 
 
+# Every table code: 3 relations x 2 loop flags x 4 kinds.
+CODES = [(r, loop, kind) for r in RELATIONS for loop in (False, True) for kind in range(4)]
+
+
 def test_every_index_table_is_a_filter_of_the_system_edges():
     # A step's table holds the edges of its relation and loop flag, keyed on
-    # nothing, the source, the target or both, in sorted tuples.
+    # nothing, the source, the target or both, in sorted tuples.  A new
+    # index holds no table; reading a code builds its table, and a code the
+    # system lacks gets an empty one.
     keys = (lambda edge: None, itemgetter(0), itemgetter(1), itemgetter(0, 1))
+    assert len(CODES) == 24
     rng = random.Random(1618)
-    loops = relations = 0
+    loops = relations = lacking = 0
     for _ in range(100):
         system = random_system(rng, max_nodes=6, max_edges=16)
-        expected = {}
-        for relation in RELATIONS:
-            for self_loop in (False, True):
-                chosen = sorted(e for e in system if e[2:] == (relation, self_loop))
-                for kind, key in enumerate(keys):
-                    table = {key(e): tuple(x for x in chosen if key(x) == key(e)) for e in chosen}
-                    if table:
-                        expected[relation, self_loop, kind] = table
-        assert matcher._SystemIndex(system) == expected
+        index = matcher._SystemIndex(system)
+        assert len(index) == 0
+        for relation, self_loop, kind in CODES:
+            chosen = sorted(e for e in system if e[2:] == (relation, self_loop))
+            key = keys[kind]
+            expected = {key(e): tuple(x for x in chosen if key(x) == key(e)) for e in chosen}
+            assert index[relation, self_loop, kind] == expected
+            lacking += not chosen
+        assert len(index) == len(CODES)
         loops += any(edge.self_loop for edge in system)
         relations += len({edge.relation for edge in system}) == 3
-    assert loops >= 50 and relations >= 50
+    assert loops >= 50 and relations >= 50 and lacking >= 100
+
+
+def _twin_star(rng):
+    """A hub with two to four twin leaves of one relation and direction,
+    and sometimes one more edge at the hub: a self-loop or an edge of
+    another relation."""
+    relation = rng.choice(RELATIONS)
+    outward = rng.random() < 0.5
+    star = {
+        make_edge(*(("hub", f"leaf{i}") if outward else (f"leaf{i}", "hub")), relation)
+        for i in range(rng.randint(2, 4))
+    }
+    if rng.random() < 0.5:
+        star.add(make_edge("hub", rng.choice(["hub", "other"]), rng.choice(RELATIONS)))
+    return frozenset(star)
+
+
+def test_only_the_tables_read_are_built_and_reports_do_not_change(monkeypatch):
+    # Every index, the kept system index and each fragment's own, holds
+    # exactly the tables the searches run against it read, and an index
+    # that builds all 24 tables up front gives the same reports, witnesses
+    # included.
+    lazy_index, original = matcher._SystemIndex, matcher._embeddings
+
+    class EagerIndex(lazy_index):
+        def __init__(self, edges):
+            super().__init__(edges)
+            for code in CODES:
+                self[code]
+
+    reads = {}  # id of each index searched -> (the index, the codes read from it)
+
+    def recording(index, plan):
+        reads.setdefault(id(index), (index, set()))[1].update(plan[1])
+        return original(index, plan)
+
+    catalog = builtin_catalog()
+    rng = random.Random(2424)
+    loops = relations = twins = fragment_indexes = 0
+    for _ in range(200):
+        system = random_system(rng, max_nodes=7, max_edges=12)
+        patterns = [catalog.get(name).edges for name in catalog.names()]
+        patterns += [_connected_pattern(rng), _twin_star(rng)]
+        monkeypatch.setattr(matcher, "_embeddings", recording)
+        monkeypatch.setattr(matcher, "_kept", (None, None))
+        reads.clear()
+        lazy = [detect(system, pattern) for pattern in patterns]
+        kept = matcher._kept[1]
+        assert set(kept) == reads.get(id(kept), (kept, set()))[1]
+        for index, read in reads.values():
+            assert set(index) == read
+        fragment_indexes += len(reads) - (id(kept) in reads)
+        monkeypatch.setattr(matcher, "_embeddings", original)
+        monkeypatch.setattr(matcher, "_SystemIndex", EagerIndex)
+        monkeypatch.setattr(matcher, "_kept", (None, None))
+        assert [detect(system, pattern) for pattern in patterns] == lazy
+        assert len(matcher._kept[1]) == len(CODES)
+        monkeypatch.setattr(matcher, "_SystemIndex", lazy_index)
+        loops += any(edge.self_loop for edge in system)
+        relations += len({edge.relation for edge in system}) == 3
+        twins += lazy[-1].level is not None and lazy[-1].level > 1
+    assert loops >= 120 and relations >= 100 and twins >= 40 and fragment_indexes >= 1000
 
 
 def _chain(length, name="c", relation=3):
