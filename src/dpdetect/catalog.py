@@ -115,7 +115,7 @@ def load_catalog(source: str | Path | None = None) -> PatternCatalog:
     user: dict[str, ClassGraph] = {}
     for file in files:
         try:
-            graph = parse_model(file.read_text(encoding="utf-8"))
+            graph = parse_model(file.read_text(encoding="utf-8-sig"))
         except (OSError, UnicodeDecodeError, ModelSyntaxError) as err:
             raise CatalogError(f"catalog entry {file.name!r}: {err}") from err
         name = (graph.name or file.stem).lower()

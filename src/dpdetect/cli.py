@@ -291,7 +291,7 @@ def _resolve_catalog(argument: str | None) -> PatternCatalog:
 def _read_model(path_str: str) -> ClassGraph | None:
     """The parsed model, or None after reporting why it could not be read."""
     try:
-        return parse_model(Path(path_str).read_text(encoding="utf-8"))
+        return parse_model(Path(path_str).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as err:
         _fail(f"cannot read model {path_str!r}: {err}")
     except ModelSyntaxError as err:
@@ -401,11 +401,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            parser.error("a command is required")
     except SystemExit as exc:
         return exc.code
-    commands = {"detect": cmd_detect, "list": cmd_list, "validate": cmd_validate}
-    if args.command in commands:
-        return commands[args.command](args)
-    parser.print_usage(sys.stderr)
-    print("dpdetect: error: a command is required", file=sys.stderr)
-    return EXIT_ERROR
+    return {"detect": cmd_detect, "list": cmd_list, "validate": cmd_validate}[args.command](args)

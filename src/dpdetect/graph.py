@@ -156,10 +156,10 @@ def is_weakly_connected(edges: Iterable[EdgeTuple]) -> bool:
     if not edges:
         raise EmptyEdgeSetError("connectivity is undefined for an empty edge set")
     neighbors: dict[str, set[str]] = {}
-    for edge in edges:
-        neighbors.setdefault(edge.source, set()).add(edge.target)
-        neighbors.setdefault(edge.target, set()).add(edge.source)
-    start = edges[0].source
+    for source, target, _, _ in edges:
+        neighbors.setdefault(source, set()).add(target)
+        neighbors.setdefault(target, set()).add(source)
+    start = edges[0][0]
     seen = {start}
     stack = [start]
     while stack:

@@ -29,14 +29,17 @@ itself, and derives the levels down to ``top`` without yielding those
 above it; otherwise ``_grown`` grows level ``top`` from single edges
 (ESU, Wernicke 2006).  Deriving pays for a test of every drop, most of
 which disconnect a sparse fragment, so it is the cheaper way only near
-the top, and nearer still the sparser the pattern.  Twin leaves,
-degree-1 nodes that hang off the same node by the same relation and
-direction, are interchangeable, so of each orbit under their swaps only the
-first member in canonical order is kept: the one that takes a prefix of
-each twin group's sorted edges.  The fragments left are sorted into
-typed-isomorphism classes as they come; only the first fragment of each
-class is searched against the system, because every other member finds
-exactly the same occurrences.  The first member of a class is also the
+the top, and nearer still the sparser the pattern.  Twin leaves, nodes
+whose one edge has the same type and hangs off the same node, are
+interchangeable, so of each orbit under their swaps only the first
+member in canonical order is kept: the one that takes a prefix of each
+twin group's sorted edges.  The fragments left are sorted into
+typed-isomorphism classes as they come: a fragment joins a class when it
+has the class's ``_shape``, each node's count of edges of each type, and
+the class's first fragment embeds into an index built over the
+fragment's own edges.  Only the first fragment of each class is searched
+against the system, because every other member finds exactly the same
+occurrences.  The first member of a class is also the
 first of its orbit, so each row's witness is still the earliest fragment
 in canonical order that reaches its system edges, together with that
 fragment's least image onto them (see below).  A generalization star
@@ -72,7 +75,8 @@ are already bound at each step is known before the search starts.  The
 order is most constrained first, as in RI (Bonnici et al., BMC
 Bioinformatics 2013): the edge with the most endpoints bound, then the
 one whose endpoints have the most distinct edge types in the fragment.
-A node's types are the relation, loop flag and direction of its edges.
+A node's types are the relation, loop flag and direction of its edges,
+as ``_types`` lists them.
 The plan gives each step a code: its relation, its self-loop flag and its
 kind, which says whether it keys on neither endpoint, the source, the
 target or both.  The system index holds one lookup table per code, keyed
@@ -147,8 +151,8 @@ and ``dpdetect detect --verify`` run it.
 from __future__ import annotations
 
 import functools
-from collections import Counter, defaultdict
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections import defaultdict
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -302,7 +306,7 @@ class _SystemIndex(dict):
     its position in that sorted order, which keys the rows of ``_search``.
     """
 
-    def __init__(self, edges: frozenset[EdgeTuple]) -> None:
+    def __init__(self, edges: Collection[EdgeTuple]) -> None:
         self.rank = dict(zip(sorted(edges), range(len(edges))))
         self.filed: defaultdict[tuple[int, int], list[EdgeTuple]] = defaultdict(list)
         for edge in self.rank:
@@ -343,31 +347,30 @@ def _pattern_facts(pattern: frozenset[EdgeTuple]) -> tuple[
     dict[str, list[EdgeTuple]], dict[EdgeTuple, EdgeTuple], dict[int, list[tuple[EdgeTuple, ...]]]
 ]:
     """The incident edges, twin-leaf predecessors and components of
-    ``pattern``.
+    ``pattern``, read off the typed incidence ``_types`` of its sorted
+    edges.
 
     The first map lists each node's edges in sorted order, a self-loop
-    once.  Twin leaves are degree-1, non-loop nodes that hang off the same
-    node with the same relation and direction, so swapping them maps the
-    pattern onto itself.  The second map sends each edge of a twin group,
-    in sorted order, to the group's edge before it; the first edge of a
-    group and every edge outside one have no entry.  The third map holds
-    each weakly connected component, as a sorted tuple, under its edge
-    count.
+    once.  Twin leaves are nodes with one edge, not a loop, of the same
+    type that hang off the same node, the hub, so swapping them maps the
+    pattern onto itself; a group is keyed on its hub and that type.  The
+    second map sends each edge of a twin group, in sorted order, to the
+    group's edge before it; the first edge of a group and every edge
+    outside one have no entry.  The third map holds each weakly connected
+    component, as a sorted tuple, under its edge count.
     """
-    incident: defaultdict[str, list[EdgeTuple]] = defaultdict(list)
-    for edge in sorted(pattern):
-        incident[edge[0]].append(edge)
-        if not edge[3]:
-            incident[edge[1]].append(edge)
+    edges = sorted(pattern)
+    types = _types(edges)
+    incident: dict[str, list[EdgeTuple]] = {}
     groups: defaultdict[tuple, list[EdgeTuple]] = defaultdict(list)
-    for node, edges in incident.items():
-        if len(edges) == 1 and not edges[0][3]:
-            source, target, relation, _ = edge = edges[0]
-            if source == node:
-                groups[target, relation, "in"].append(edge)
-            else:
-                groups[source, relation, "out"].append(edge)
-    twin_prev = {b: a for group in map(sorted, groups.values()) for a, b in zip(group, group[1:])}
+    for node, codes in types.items():
+        incident[node] = around = sorted(edges[p] for held in codes.values() for p in held)
+        if len(around) == 1 and not around[0][3]:
+            (code,) = codes
+            groups[around[0][2 - code[2]], code].append(around[0])
+    # Nodes come in the order of their first edge, a leaf's only one, so
+    # each group is in sorted order.
+    twin_prev = {b: a for group in groups.values() for a, b in zip(group, group[1:])}
     components: defaultdict[int, list[tuple[EdgeTuple, ...]]] = defaultdict(list)
     seen: set[str] = set()
     for start in incident:
@@ -504,17 +507,21 @@ _Search = tuple[Iterator[tuple[EdgeTuple, ...]], Callable[[], int]]
 _WINDOW = 16
 
 
-def _types(edges: Sequence[EdgeTuple]) -> defaultdict[str, dict[_Code, int]]:
-    """Each node's edge types in ``edges``, each mapped to the position of
-    its first edge of that type.  A type is the code of the table that
-    files the node's edges of one relation and loop flag by that node:
-    ``(relation, self_loop, 1)`` for an outgoing edge or a self-loop, and
-    ``(relation, self_loop, 2)`` for an incoming one."""
-    types: defaultdict[str, dict[_Code, int]] = defaultdict(dict)
+def _types(edges: Sequence[EdgeTuple]) -> defaultdict[str, dict[_Code, list[int]]]:
+    """The typed incidence of ``edges``: each node's edge types, each
+    mapped to the positions of the node's edges of that type, in order.  A
+    type is the code of the table that files the node's edges of one
+    relation and loop flag by that node: ``(relation, self_loop, 1)`` for
+    an outgoing edge or a self-loop, and ``(relation, self_loop, 2)`` for
+    an incoming one, so a self-loop is listed once.  Nodes, and each node's
+    types, come in the order of their first edge.  The plan, the class
+    invariant, the failing prefix and the twin leaves are all read off
+    this."""
+    types: defaultdict[str, dict[_Code, list[int]]] = defaultdict(dict)
     for position, (source, target, relation, self_loop) in enumerate(edges):
-        types[source].setdefault((relation, self_loop, 1), position)
+        types[source].setdefault((relation, self_loop, 1), []).append(position)
         if not self_loop:
-            types[target].setdefault((relation, self_loop, 2), position)
+            types[target].setdefault((relation, self_loop, 2), []).append(position)
     return types
 
 
@@ -536,7 +543,7 @@ def _failing_prefix(fragment: tuple[EdgeTuple, ...], plan: _Plan, placed: int) -
     the whole fragment."""
     head = [fragment[step[4]] for step in plan[0][: placed + 1]]
     types, held = _types(fragment), _types(head)
-    missing = {types[node][code] for node in held for code in types[node].keys() - held[node]}
+    missing = {types[node][code][0] for node in held for code in types[node].keys() - held[node]}
     return head + [fragment[position] for position in sorted(missing)]
 
 
@@ -566,7 +573,8 @@ def _plan(fragment: Sequence[EdgeTuple]) -> _Plan:
     bound early, where its checks prune the most.  Each prefix of a
     connected fragment's plan is connected.  Each edge's key is a two-item
     list, raised in place as its endpoints are bound, so ``max`` compares
-    keys without a Python call.
+    keys without a Python call: binding a node raises the key at each
+    position its types list, by 2 under a self-loop type.
 
     Which endpoints earlier steps have bound depends on the order alone,
     so each step fixes in advance the key it looks up, the nodes it binds
@@ -590,10 +598,6 @@ def _plan(fragment: Sequence[EdgeTuple]) -> _Plan:
     types = _types(fragment)
     # Each edge's key: [endpoints bound, distinct types at its endpoints].
     keys = [[0, len(types[source]) + len(types[target])] for source, target, _, _ in fragment]
-    incident: defaultdict[str, list[list[int]]] = defaultdict(list)
-    for key, (source, target, _, _) in zip(keys, fragment):
-        incident[source].append(key)
-        incident[target].append(key)
     remaining = list(range(len(fragment)))
     slots: dict[str, int] = {}
     structure: list[_Step] = []
@@ -610,8 +614,9 @@ def _plan(fragment: Sequence[EdgeTuple]) -> _Plan:
                 step[5 + field] = len(types[node]) - 1
                 own = (relation, self_loop, field + 1)
                 checks += (code for code in types[node] if code != own)
-                for key in incident[node]:
-                    key[0] += 1
+                for code, positions in types[node].items():
+                    for other in positions:
+                        keys[other][0] += 1 + code[1]
         structure.append(tuple(step))
         codes.append((relation, self_loop, bool(step[0]) + 2 * bool(step[1])))
     return tuple(structure), tuple(codes + checks)
@@ -719,14 +724,11 @@ def _embeddings(index: _SystemIndex, plan: _Plan) -> _Search:
 
 
 def _shape(fragment: tuple[EdgeTuple, ...]) -> tuple:
-    """Cheap isomorphism invariant: the node count plus the sorted per-node
-    degree vectors, split by relation and direction.  A self-loop counts
-    as both an outgoing and an incoming edge of its node."""
-    degrees: defaultdict[str, Counter] = defaultdict(Counter)
-    for edge in fragment:
-        degrees[edge.source][edge.relation, "out"] += 1
-        degrees[edge.target][edge.relation, "in"] += 1
-    return len(degrees), tuple(sorted(tuple(sorted(d.items())) for d in degrees.values()))
+    """Cheap isomorphism invariant: the node count plus, sorted, each
+    node's sorted ``(type, count)`` pairs, read off ``_types``."""
+    types = _types(fragment)
+    counts = (sorted((code, len(held)) for code, held in codes.items()) for codes in types.values())
+    return len(types), tuple(sorted(map(tuple, counts)))
 
 
 def _search(
@@ -775,7 +777,7 @@ def _search(
     for fragment in fragments:
         bucket = representatives.setdefault(_shape(fragment), [])
         tests = bucket + failed
-        own = _SystemIndex(frozenset(fragment)) if tests else None
+        own = _SystemIndex(fragment) if tests else None
         if any(next(_embeddings(own, plan)[0], None) for plan in tests):
             continue
         plan = _plan(fragment)
@@ -799,14 +801,14 @@ def _edge_sets(
 ) -> tuple[frozenset[EdgeTuple], frozenset[EdgeTuple]]:
     """The system and pattern edge sets of one detection call, once its
     input rules hold: the pattern has an edge, and the level ``n``, when
-    given, is in 1..|pattern|.  ``detect``, ``find_matches`` and the
-    oracle's two entry points all come through here, so each rule is
-    raised in one place."""
+    given, is an ``int`` in 1..|pattern| and not a ``bool``.  ``detect``,
+    ``find_matches`` and the oracle's two entry points all come through
+    here, so each rule is raised in one place."""
     system, pattern = frozenset(system_edges), frozenset(pattern_edges)
     if not pattern:
         raise EmptyPatternError("pattern has no edges")
-    if n is not None and not 0 < n <= len(pattern):
-        raise LevelOutOfRangeError(f"level must be in 1..{len(pattern)}, got {n}")
+    if n is not None and (type(n) is bool or not isinstance(n, int) or not 0 < n <= len(pattern)):
+        raise LevelOutOfRangeError(f"level must be in 1..{len(pattern)}, got {n!r}")
     return system, pattern
 
 

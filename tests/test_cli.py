@@ -531,6 +531,16 @@ def test_usage_errors_exit_one(capsys, argv):
     assert err != ""
 
 
+def test_missing_command_prints_usage_and_one_error_line(capsys):
+    code, out, err = run(capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "usage: dpdetect [-h] [--version] command ...",
+        "dpdetect: error: a command is required",
+    ]
+
+
 def test_missing_model_file_exits_one(capsys):
     code, _, err = run(capsys, "detect", "does-not-exist.cg")
     assert code == 1
@@ -575,6 +585,25 @@ def test_non_utf8_catalog_entry_exits_one_on_list(capsys, tmp_path):
     assert out == ""
     assert err.startswith("dpdetect: error: catalog entry 'latin.cg'")
     assert err.count("\n") == 1
+
+
+BOM = "\ufeff".encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [("validate",), ("detect",), ("detect", "--format", "json")])
+def test_model_file_byte_order_mark_is_skipped(capsys, tmp_path, sample_system_path, argv):
+    marked = tmp_path / "marked.cg"
+    marked.write_bytes(BOM + sample_system_path.read_bytes())
+    expected = run(capsys, argv[0], str(sample_system_path), *argv[1:])
+    assert expected[0] == 0 and expected[2] == ""
+    assert run(capsys, argv[0], str(marked), *argv[1:]) == expected
+
+
+def test_catalog_entry_byte_order_mark_is_skipped(capsys, tmp_path):
+    (tmp_path / "marked.cg").write_bytes(BOM + b"model observer\nassoc subject watcher\n")
+    code, out, err = run(capsys, "list", "--catalog", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert "observer   nodes=2 edges=1 [user]" in out.splitlines()
 
 
 @pytest.mark.parametrize("command", ["list", "detect"])

@@ -94,10 +94,12 @@ def test_every_entry_point_raises_the_same_input_errors(entry):
         entry(SAMPLE_SYSTEM, frozenset(), *((1,) if takes_level else ()))
     assert str(empty.value) == "pattern has no edges"
     pattern = CATALOG.get("composite").edges
-    for n in (0, len(pattern) + 1) if takes_level else ():
+    # A level that is not an int, or is a bool, is out of range too, even
+    # where its value lies in 1..|pattern|.
+    for n in (0, len(pattern) + 1, 1.5, 2.0, True, "2") if takes_level else ():
         with pytest.raises(LevelOutOfRangeError) as out_of_range:
             entry(SAMPLE_SYSTEM, pattern, n)
-        assert str(out_of_range.value) == f"level must be in 1..{len(pattern)}, got {n}"
+        assert str(out_of_range.value) == f"level must be in 1..{len(pattern)}, got {n!r}"
 
 
 def test_oracle_matches_detector_on_random_instances():

@@ -211,6 +211,16 @@ def test_plans_across_chunk_boundaries_find_every_image(steps):
     assert _images(_chain(steps), _cycle(steps, "z")) == []
 
 
+def test_plan_counts_a_self_loop_as_both_its_endpoints_bound():
+    # The first step, (a, b), binds a and b.  The loop at b then has two
+    # endpoints bound, and (a, c) and (c, a) one each, so the loop is placed
+    # next, though (a, c) has more types at its endpoints (5 against 4).
+    # Counted once, the loop would tie (a, c) on bound endpoints and lose.
+    pattern = edges(("a", "b", 3), ("a", "c", 2), ("b", "b", 1), ("c", "a", 3))
+    fragment = tuple(sorted(pattern))
+    assert [step[4] for step in matcher._plan(fragment)[0]] == [0, 2, 1, 3]
+
+
 def test_images_stay_aligned_with_the_fragment_when_the_plan_reorders_it():
     # c has two edge types, so (b, c) and (c, z) outrank (a, z) and (b, c),
     # the first of them, is placed first; (c, z) keys on c, and (a, z) on z.
