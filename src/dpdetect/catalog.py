@@ -12,10 +12,10 @@ which works on edges alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 
-from .graph import ClassGraph, is_weakly_connected
+from .graph import ClassGraph, _Record, is_weakly_connected
 from .model import ModelSyntaxError, parse_model
 
 __all__ = ["CatalogError", "PatternCatalog", "builtin_catalog", "load_catalog"]
@@ -39,25 +39,28 @@ def _pattern_fault(graph: ClassGraph) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class PatternCatalog:
+class PatternCatalog(_Record):
     """Mapping from lowercase pattern name to its pattern graph."""
 
-    entries: dict[str, ClassGraph]
-    user_names: frozenset[str] = frozenset()
+    __slots__ = ("entries", "user_names")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", dict(self.entries))
-        object.__setattr__(self, "user_names", frozenset(self.user_names))
-        for name, graph in self.entries.items():
+    entries: dict[str, ClassGraph]
+    user_names: frozenset[str]
+
+    def __init__(
+        self, entries: Mapping[str, ClassGraph], user_names: Iterable[str] = frozenset()
+    ) -> None:
+        entries, user_names = dict(entries), frozenset(user_names)
+        for name, graph in entries.items():
             if name != name.lower():
                 raise CatalogError(f"catalog keys must be lowercase, got {name!r}")
             fault = _pattern_fault(graph)
             if fault:
                 raise CatalogError(f"pattern {name!r} {fault}")
-        unknown = self.user_names - set(self.entries)
+        unknown = user_names - set(entries)
         if unknown:
             raise CatalogError(f"user names missing from entries: {', '.join(sorted(unknown))}")
+        self._assign(entries, user_names)
 
     def names(self) -> list[str]:
         return sorted(self.entries)

@@ -17,12 +17,11 @@ import sys
 from _json import encode_basestring as _string
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .catalog import CatalogError, PatternCatalog, load_catalog
-from .graph import ClassGraph, EdgeTuple, RelationKind
+from .graph import ClassGraph, EdgeTuple, RelationKind, _Record
 from .matcher import DetectionReport, Verdict, _node_map, check_table, detect
 from .model import ModelSyntaxError, parse_model
 from .oracle import OracleSizeError, oracle_detect
@@ -42,18 +41,25 @@ _TEMPLATES = {
 }
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(_Record):
     """Everything one detect run produced, ready for serialization."""
+
+    __slots__ = ("model_name", "results", "catalog_names")
 
     model_name: str
     results: tuple[DetectionReport, ...]
     catalog_names: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        names = [result.pattern_name for result in self.results]
+    def __init__(
+        self,
+        model_name: str,
+        results: tuple[DetectionReport, ...],
+        catalog_names: tuple[str, ...],
+    ) -> None:
+        names = [result.pattern_name for result in results]
         if names != sorted(names):
             raise ValueError("results must be sorted by pattern name")
+        self._assign(model_name, results, catalog_names)
 
 
 def render_text(document: ReportDocument) -> str:

@@ -10,9 +10,8 @@ hashing, equality and ordering of edges run at tuple speed.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import IntEnum
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 __all__ = [
     "RelationKind",
@@ -106,8 +105,60 @@ def make_edge(source: str, target: str, relation: RelationKind | int) -> EdgeTup
     return EdgeTuple(source, target, relation)
 
 
-@dataclass(frozen=True)
-class ClassGraph:
+class _Record:
+    """Base of the package's immutable records: ``ClassGraph``,
+    ``PatternCatalog``, ``MatchRow``, ``MatchTable``, ``DetectionReport``
+    and ``cli.ReportDocument``.
+
+    A record's ``__slots__`` name its fields in order, and they are all it
+    stores.  Records compare equal when they are of the same class with
+    equal fields, hash as the tuple of their fields, and show as
+    ``Name(field=value, ...)``.  Assignment and deletion raise
+    ``AttributeError``, so a record's ``__init__`` stores its fields with
+    ``_assign``, through the setters of the slots themselves; pickle,
+    ``copy`` and ``deepcopy`` rebuild a record through its constructor.
+    The methods are written out once here rather than generated for each
+    class, so defining a record executes no generated source and imports
+    no module to generate it.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = cls.__slots__
+        if not fields:  # a subclass that adds no slot keeps its base's fields
+            return
+        cls.__match_args__ = fields
+        cls._stores = tuple(getattr(cls, name).__set__ for name in fields)
+        cls._values = property(attrgetter(*fields), doc="The field values, in order.")
+
+    def _assign(self, *values: object) -> None:
+        for store, value in zip(self._stores, values):
+            store(self, value)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), self._values
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ClassGraph(_Record):
     """A named set of class nodes plus the edge set connecting them.
 
     Nodes without any relationship are allowed; multiple edges between the
@@ -115,22 +166,24 @@ class ClassGraph:
     name may be empty for anonymous graphs.  Each node is checked here, once.
     """
 
+    __slots__ = ("name", "nodes", "edges")
+
     name: str
     nodes: frozenset[str]
     edges: frozenset[EdgeTuple]
 
-    def __post_init__(self) -> None:
-        if self.name:
-            _check_identifier(self.name, "model name")
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for node in self.nodes:
+    def __init__(self, name: str, nodes: Iterable[str], edges: Iterable[EdgeTuple]) -> None:
+        if name:
+            _check_identifier(name, "model name")
+        nodes, edges = frozenset(nodes), frozenset(edges)
+        for node in nodes:
             _check_identifier(node)
-        missing = {e[0] for e in self.edges}.union([e[1] for e in self.edges]) - self.nodes
+        missing = {e[0] for e in edges}.union([e[1] for e in edges]) - nodes
         if missing:
             raise GraphIntegrityError(
                 f"edges reference undeclared nodes: {', '.join(sorted(missing))}"
             )
+        self._assign(name, nodes, edges)
 
     @classmethod
     def from_edges(

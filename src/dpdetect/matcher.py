@@ -143,7 +143,8 @@ patterns outright.
 
 Rows are built from embeddings the search has already checked, so
 ``MatchRow`` and ``MatchTable`` are plain records that do not re-validate
-themselves, and ``MatchRow``, built once per occurrence, has slots.
+themselves, and ``MatchRow``, built once per occurrence, stores its two
+fields without a loop.
 ``check_table`` states every row and table rule in one place; the tests
 and ``dpdetect detect --verify`` run it.
 """
@@ -153,12 +154,10 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import TypeVar
 
-from .graph import EdgeTuple, is_weakly_connected
+from .graph import EdgeTuple, _Record, is_weakly_connected
 
 __all__ = [
     "EmptyPatternError",
@@ -189,25 +188,21 @@ class Verdict(Enum):
     ABSENT = "absent"
 
 
-_T = TypeVar("_T")
-
-
-def _node_map(pattern_edges: Iterable[EdgeTuple], images: Iterable[Sequence[_T]]) -> dict[str, _T]:
+def _node_map(pattern_edges: Iterable[EdgeTuple], images: Iterable[Sequence]) -> dict:
     """Each pattern node's value read off ``images``, aligned position-wise
     with ``pattern_edges``: the aligned pairs are walked in fragment order,
     each edge's source and then its target taking the image's first and
     second field, and the last write wins.  ``MatchRow.mapping`` reads
     system nodes this way, and the JSON report the positions of the fields
     it fills a row template from."""
-    mapping: dict[str, _T] = {}
+    mapping = {}
     for pattern_edge, image in zip(pattern_edges, images):
         mapping[pattern_edge[0]] = image[0]
         mapping[pattern_edge[1]] = image[1]
     return mapping
 
 
-@dataclass(frozen=True, slots=True)
-class MatchRow:
+class MatchRow(_Record):
     """One occurrence: pattern edges aligned position-wise with system edges.
 
     ``system_edges[i]`` is the image of ``pattern_edges[i]``, and the
@@ -217,8 +212,17 @@ class MatchRow:
     checks every row rule.
     """
 
+    __slots__ = ("pattern_edges", "system_edges")
+
     pattern_edges: tuple[EdgeTuple, ...]
     system_edges: tuple[EdgeTuple, ...]
+
+    def __init__(
+        self, pattern_edges: tuple[EdgeTuple, ...], system_edges: tuple[EdgeTuple, ...]
+    ) -> None:
+        # ``_assign`` unrolled, since a search builds one row per occurrence.
+        _store_pattern_edges(self, pattern_edges)
+        _store_system_edges(self, system_edges)
 
     @property
     def mapping(self) -> dict[str, str]:
@@ -233,8 +237,10 @@ class MatchRow:
         return tuple(sorted(self.system_edges))
 
 
-@dataclass(frozen=True)
-class MatchTable:
+_store_pattern_edges, _store_system_edges = MatchRow._stores
+
+
+class MatchTable(_Record):
     """All occurrences found at one level.
 
     ``level`` is the column count (edges matched per row); the row count is
@@ -243,8 +249,13 @@ class MatchTable:
     with no two rows sharing one; ``check_table`` checks this.
     """
 
+    __slots__ = ("level", "rows")
+
     level: int
-    rows: tuple[MatchRow, ...] = ()
+    rows: tuple[MatchRow, ...]
+
+    def __init__(self, level: int, rows: tuple[MatchRow, ...] = ()) -> None:
+        self._assign(level, rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -254,8 +265,7 @@ class MatchTable:
         return {frozenset(row.system_edges) for row in self.rows}
 
 
-@dataclass(frozen=True)
-class DetectionReport:
+class DetectionReport(_Record):
     """Outcome of matching one pattern against one system edge set.
 
     The verdict and the level are read off the table, so they cannot
@@ -263,9 +273,14 @@ class DetectionReport:
     complete, and rows below it mean partial.
     """
 
+    __slots__ = ("pattern_name", "pattern_size", "table")
+
     pattern_name: str
     pattern_size: int
     table: MatchTable
+
+    def __init__(self, pattern_name: str, pattern_size: int, table: MatchTable) -> None:
+        self._assign(pattern_name, pattern_size, table)
 
     @property
     def verdict(self) -> Verdict:
