@@ -51,23 +51,22 @@ A search that finds nothing still tells the rest of the walk something.
 connected.  If the search placed a candidate at steps 1 to ``Q`` only, it
 tried every injective placement of those steps whose nodes pass their
 type checks, and step ``Q + 1`` placed nothing for any of them.  The
-failing prefix is the plan's first ``Q + 1`` edges plus, for each node
-they bind, the first fragment edge of each type that the node has in the
-fragment but not among them.  Any embedding of that set puts every node
-the first ``Q + 1`` steps bind in its check tables, so the search would
-have placed step ``Q + 1``: the prefix has no embedding into the system.
-Nor has any fragment into which it embeds, because injective typed maps
-compose.  The checks test presence, not counts, so a node's check fails
-only when one of its types is missing, and the prefix stays small.
-``detect`` keeps the plans of one pattern's failing prefixes as local
+failing prefix is the plan's first ``Q + 1`` steps with their checks,
+itself a plan.  Suppose it embeds into a fragment ``F`` that embeds into
+the system.  Its checks hold in ``F``, and the image of a node of ``F``
+has every type the node has, so the two maps compose into an injective
+placement of steps 1 to ``Q`` that passes every check and gives step
+``Q + 1`` a candidate.  The search found none, so no such ``F`` embeds
+into the system.  ``detect`` keeps one pattern's failing prefixes as local
 state, and ``_search`` tests each against a fragment's own index, the one
 its class test reads; a fragment that contains one is skipped.  Skipped
 fragments have no rows, so no table changes.  The search keeps one mark,
 the number of steps that placed a candidate, which a placement raises
 only when it is the first at its step.  A 12-edge gen chain against a
 gen DAG whose paths have at most 6 edges is searched at levels 12 and 6
-only: the search at level 12 fails with a 7-edge path, which every level
-between contains.
+only: the search at level 12 places nothing at step 5, and its first 5
+steps, whose 6 nodes each need an in- and an out-edge, embed into every
+level between.
 
 Each search first turns its fragment into a static plan with ``_plan``,
 which fixes the order in which its edges are placed, so which endpoints
@@ -530,36 +529,13 @@ def _types(edges: Sequence[EdgeTuple]) -> defaultdict[str, dict[_Code, list[int]
     an outgoing edge or a self-loop, and ``(relation, self_loop, 2)`` for
     an incoming one, so a self-loop is listed once.  Nodes, and each node's
     types, come in the order of their first edge.  The plan, the class
-    invariant, the failing prefix and the twin leaves are all read off
-    this."""
+    invariant and the twin leaves are all read off this."""
     types: defaultdict[str, dict[_Code, list[int]]] = defaultdict(dict)
     for position, (source, target, relation, self_loop) in enumerate(edges):
         types[source].setdefault((relation, self_loop, 1), []).append(position)
         if not self_loop:
             types[target].setdefault((relation, self_loop, 2), []).append(position)
     return types
-
-
-def _failing_prefix(fragment: tuple[EdgeTuple, ...], plan: _Plan, placed: int) -> list[EdgeTuple]:
-    """The failing prefix of a search of ``fragment`` with its ``plan`` in
-    which ``placed`` steps before the last ever placed a candidate: the
-    edges of the plan's first ``placed + 1`` steps, followed in fragment
-    order by the first edge of each type that a node they bind has in the
-    fragment but not among them (see ``_types``).
-
-    A step is reached only from a placement of the step before it, so the
-    steps that placed are the first ``placed``.  When ``placed + 1`` steps
-    are fewer than the plan's, the search tried every injective placement
-    of the first ``placed`` that passed its checks, and step ``placed + 1``
-    placed no candidate for any of them.  An embedding of the prefix would
-    pass every check of those steps, because each bound node keeps an edge
-    of each of its types, so the prefix has no embedding into the system.
-    A search that found an embedding placed every step, and its prefix is
-    the whole fragment."""
-    head = [fragment[step[4]] for step in plan[0][: placed + 1]]
-    types, held = _types(fragment), _types(head)
-    missing = {types[node][code][0] for node in held for code in types[node].keys() - held[node]}
-    return head + [fragment[position] for position in sorted(missing)]
 
 
 def _canonical(fragment: tuple[EdgeTuple, ...]) -> list[int]:
@@ -658,7 +634,7 @@ def _source(structure: tuple[_Step, ...]) -> str:
     only from a placement of the step before it, so the steps that ever
     placed a candidate form a prefix of the plan, and the mark counts them.
     The last step has no test of the mark, because only the steps before
-    it decide the failing prefix (see ``_failing_prefix``).
+    it decide the failing prefix (see ``_search``).
 
     A new node is compared with ``!=`` only against the earlier nodes of
     its window, so the source grows linearly with the plan.  A window
@@ -708,7 +684,7 @@ def _compiled(structure: tuple[_Step, ...]) -> Callable[..., _Search]:
     compiled once and kept for the 512 most recently used structures.
     Generating and compiling a structure takes about 0.2 ms, and a kept
     one holds about 0.6 KiB per step (Python 3.11.7, 2 CPUs); a 44-pattern
-    catalog against a 2,000-edge model compiles 123.  The function is
+    catalog against a 2,000-edge model compiles 124.  The function is
     taken out of the namespace it was defined in, whose dict is its
     globals, so a dropped entry leaves no reference cycle behind."""
     namespace: dict[str, object] = {}
@@ -732,7 +708,7 @@ def _embeddings(index: _SystemIndex, plan: _Plan) -> _Search:
     it and testing it against the tables of its checks.  The mapping stays
     injective, so distinct pattern edges always land on distinct system
     edges.  The count is final once the images have run out, and
-    ``_search`` then passes it to ``_failing_prefix``.
+    ``_search`` then cuts the plan after the step that placed nothing.
     """
     structure, codes = plan
     return _compiled(structure)((), [index[code] for code in codes])
@@ -754,10 +730,9 @@ def _search(
 ) -> MatchTable:
     """The level-``n`` table of ``fragments``, the eligible fragments of a
     level in canonical order, against the indexed system.  ``failed``
-    holds the plans of pattern fragments known to have no embedding into
-    the system; a fragment into which one of them embeds is not searched,
-    and the plan of the failing prefix of every fruitless search is added
-    to it.  Each fragment is planned once, when it is searched or learned,
+    holds plans known to have no embedding into the system; a fragment
+    into which one of them embeds is not searched, and the failing prefix
+    of every fruitless search, a slice of its plan, is added to it.  Each fragment is planned once, when it is searched,
     and only its plan is kept for the class and prefix tests, which read
     nothing else.  Each row's witness is its fragment's least image onto
     its edges when read in canonical order (see ``_canonical``), and rows
@@ -779,15 +754,16 @@ def _search(
     #   P too, so it need not become a representative.
     # Searching with the representatives' plans keeps the compiled searches
     # few: the plans of the many fragments of a dense pattern mostly differ.
-    # The prefix of a fruitless search is the plan's first placed + 1
-    # edges, where placed is the search's mark, the number of steps that
-    # ever placed a candidate, and the first edge of each type that a node
-    # they bind lacks among them: every injective placement of those steps
-    # that passed its type checks was tried, and the next step placed
-    # nothing for any of them (see _failing_prefix).  Its plan is kept when
-    # it is smaller than the fragment, which needs placed < n - 1; a search
-    # that found an embedding has placed = n - 1.  A fragment isomorphic to
-    # a fruitless one is already left out by the class test.
+    # The failing prefix of a fruitless search is its plan's first
+    # placed + 1 steps with their checks, where placed is the search's mark,
+    # the number of steps that ever placed a candidate: every injective
+    # placement of the first placed steps that passed its type checks was
+    # tried, and the next step placed nothing for any of them.  The codes
+    # list every step's code and then the checks in step order, so the
+    # prefix's checks are one slice of them.  A prefix is kept when it is
+    # smaller than its fragment, placed + 1 < n; a search that found an
+    # embedding has placed = n - 1.  A later fragment that contains a whole
+    # fruitless one is isomorphic to it, and the class test leaves it out.
     representatives: dict[tuple, list[_Plan]] = {}
     for fragment in fragments:
         bucket = representatives.setdefault(_shape(fragment), [])
@@ -795,7 +771,7 @@ def _search(
         own = _SystemIndex(fragment) if tests else None
         if any(next(_embeddings(own, plan)[0], None) for plan in tests):
             continue
-        plan = _plan(fragment)
+        structure, codes = plan = _plan(fragment)
         bucket.append(plan)
         images, placed = _embeddings(index, plan)
         canonical = None  # reads an image in canonical order, set when a key first repeats
@@ -806,8 +782,9 @@ def _search(
                 canonical = itemgetter(*_canonical(fragment))
             if kept is None or canonical(image) < canonical(kept.system_edges):
                 found[key] = MatchRow(fragment, image)
-        if placed() < n - 1 and len(prefix := _failing_prefix(fragment, plan, placed())) < n:
-            failed.append(_plan(prefix))
+        if (cut := placed() + 1) < n:
+            checks = sum(step[5] + step[6] for step in structure[:cut])
+            failed.append((structure[:cut], codes[:cut] + codes[n : n + checks]))
     return MatchTable(level=n, rows=tuple(found[key] for key in sorted(found)))
 
 
@@ -817,8 +794,8 @@ def _edge_sets(
     """The system and pattern edge sets of one detection call, once its
     input rules hold: the pattern has an edge, and the level ``n``, when
     given, is an ``int`` in 1..|pattern| and not a ``bool``.  ``detect``,
-    ``find_matches`` and the oracle's two entry points all come through
-    here, so each rule is raised in one place."""
+    ``find_matches``, ``check_table`` and the oracle's two entry points all
+    come through here, so each rule is raised in one place."""
     system, pattern = frozenset(system_edges), frozenset(pattern_edges)
     if not pattern:
         raise EmptyPatternError("pattern has no edges")
@@ -863,8 +840,9 @@ def detect(
     Walks the levels of ``_levels`` down from the smaller of the pattern's
     and the system's edge counts, so no level larger than the system is
     searched; the first level with occurrences decides the verdict.  The
-    failing prefixes that ``_search`` learns on one level are kept for the
-    levels below, so a fragment that contains one is never searched.  An
+    failing prefixes that ``_search`` learns on one level, each a failed
+    plan cut after the step that placed nothing, are kept for the levels
+    below, so a fragment that contains one is never searched.  An
     empty system is valid input and yields absence before any index or
     fragment is built; an empty pattern is an error.
     """
@@ -892,10 +870,10 @@ def check_table(
     ``dpdetect detect --verify``, and not on every row it builds.  An
     aligned injective mapping makes each image isomorphic to its fragment,
     so a connected image also means a connected fragment, as fragments
-    below the top level must be.
+    below the top level must be.  Like ``detect``, it raises
+    ``EmptyPatternError`` for an edgeless pattern.
     """
-    system = frozenset(system_edges)
-    pattern = frozenset(pattern_edges)
+    system, pattern = _edge_sets(system_edges, pattern_edges)
     level = table.level
     if not 0 <= level <= len(pattern):
         raise ValueError(f"level {level} is outside 0..{len(pattern)}")

@@ -520,6 +520,22 @@ def test_star_wider_than_every_hub_skips_levels(monkeypatch, system, leaves, lev
     assert report.verdict is Verdict.PARTIAL and report.level == levels[-1]
 
 
+def test_a_lesson_with_checks_skips_a_fragment_its_edges_would_not(monkeypatch):
+    # The system has no dependency, so the search of the first 2-edge
+    # fragment, p0 -> p2 dep and p1 -> p0 gen, places nothing at step 1,
+    # the dep edge, and learns that step with its one check: a dep edge out
+    # of a node with a gen in-edge.  The fragment p0 -> p2 dep and
+    # p2 -> p0 gen contains it and is not searched.  As fragment edges that
+    # give each node its fragment types, the lesson is the whole first
+    # fragment, no smaller than a level-2 fragment, so it would be dropped.
+    pattern = edges(("p0", "p2", 2), ("p1", "p0", 3), ("p2", "p0", 1), ("p2", "p0", 3))
+    system = edges(("s3", "s2", 1), ("s3", "s3", 3))
+    report, searched = _system_searches(monkeypatch, system, pattern)
+    assert searched[2] == 4
+    assert report == oracle_detect(system, pattern)
+    assert (report.verdict, report.level, report.occurrences) == (Verdict.PARTIAL, 1, 1)
+
+
 def _detect_searching_every_level(system, pattern, search):
     """``detect`` without failed prefixes: every level is searched with
     an empty list of them."""
@@ -539,18 +555,23 @@ def test_failed_prefixes_change_no_report(monkeypatch):
         return original(fragments, index, n, failed)
 
     monkeypatch.setattr(matcher, "_search", recording)
-    rng = random.Random(1414)
-    learned = 0
-    for _ in range(300):
-        pattern = _symmetric_shape(rng)
-        system = random_system(rng)
+    # Symmetric shapes, and patterns whose hubs have edges of several types,
+    # so that failing prefixes carry checks.
+    symmetric, several = random.Random(1414), random.Random(1415)
+    instances = [(_symmetric_shape(symmetric), random_system(symmetric)) for _ in range(300)]
+    instances += [(_fragment_test_pattern(several), random_system(several)) for _ in range(300)]
+    learned = checked = 0
+    for pattern, system in instances:
         remembered.clear()
         ours = detect(system, pattern)
         # The whole report, witnesses included.
         assert ours == _detect_searching_every_level(system, pattern, original)
-        learned += any(remembered)
-    # The instances that learned a prefix are those the skip can change.
-    assert learned >= 50
+        lessons = [lesson for failed in remembered for lesson in failed]
+        learned += bool(lessons)
+        checked += any(len(codes) > len(structure) for structure, codes in lessons)
+    # The instances that learned a prefix are those the skip can change;
+    # more than half of each kind learn one that carries checks.
+    assert learned >= 300 and checked >= 300
 
 
 # --- fragment enumeration --------------------------------------------------

@@ -8,9 +8,11 @@ import dpdetect.oracle
 from dpdetect import (
     EmptyPatternError,
     LevelOutOfRangeError,
+    MatchTable,
     OracleSizeError,
     Verdict,
     builtin_catalog,
+    check_table,
     detect,
     find_matches,
     make_edge,
@@ -87,7 +89,20 @@ def test_oracle_rejects_bad_levels():
         oracle_detect(SAMPLE_SYSTEM, frozenset())
 
 
-@pytest.mark.parametrize("entry", [detect, find_matches, oracle_detect, oracle_find_matches])
+def _check_empty_table(system_edges, pattern_edges):
+    check_table(MatchTable(level=0), system_edges, pattern_edges)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        detect,
+        find_matches,
+        oracle_detect,
+        oracle_find_matches,
+        pytest.param(_check_empty_table, id="check_table"),
+    ],
+)
 def test_every_entry_point_raises_the_same_input_errors(entry):
     takes_level = entry in (find_matches, oracle_find_matches)
     with pytest.raises(EmptyPatternError) as empty:

@@ -1,17 +1,20 @@
-"""The complete level against networkx's VF2 monomorphism search.
+"""Every level against networkx's VF2 monomorphism search.
 
 The brute-force oracle stops at 12 edges and 8 nodes; this reference has no
-such guard, so it checks ``detect`` on systems of hundreds of edges.  An
-ordered node pair carries the set of relations on its edges, and a pattern
-pair matches a system pair whose set contains it.  networkx is a test-only
-reference and never a dependency of dpdetect.
+such guard, so it checks ``detect`` and ``find_matches`` on systems of
+hundreds of edges, including the levels below the complete one that the
+failing prefixes of failed searches prune.  An ordered node pair carries
+the set of relations on its edges, and a pattern pair matches a system pair
+whose set contains it.  networkx is a test-only reference and never a
+dependency of dpdetect.
 """
 
+import itertools
 import random
 
 import pytest
 
-from dpdetect import Verdict, detect, make_edge
+from dpdetect import Verdict, detect, find_matches, make_edge
 from helpers import RELATIONS
 
 networkx = pytest.importorskip("networkx")
@@ -87,3 +90,32 @@ def test_complete_level_matches_networkx(seed):
     report = detect(system, pattern)
     ours = report.table.system_edge_sets() if report.verdict is Verdict.COMPLETE else set()
     assert ours == reference_images(system, pattern)
+
+
+def connected(edges):
+    """Whether ``edges`` hang together when their directions are ignored."""
+    reached, stack = set(), [edges[0].source]
+    while stack:
+        node = stack.pop()
+        if node not in reached:
+            reached.add(node)
+            stack += (e.target if e.source == node else e.source for e in edges if node in e[:2])
+    return all(e.source in reached for e in edges)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_every_level_matches_networkx(seed):
+    # At each level, the rows are the union of the images of the pattern's
+    # connected fragments of that size, and detect stops at the largest
+    # level whose union is not empty.
+    rng = random.Random(seed)
+    pattern = connected_pattern(rng, rng.randint(2, 6))
+    system = random_large_system(rng, rng.randint(100, 600), pattern)
+    expected = {}
+    for n in range(1, len(pattern) + 1):
+        fragments = filter(connected, itertools.combinations(sorted(pattern), n))
+        expected[n] = set().union(*(reference_images(system, fragment) for fragment in fragments))
+        assert find_matches(system, pattern, n).system_edge_sets() == expected[n]
+    report = detect(system, pattern)
+    assert report.level == max((n for n in expected if expected[n]), default=None)
+    assert report.table.system_edge_sets() == expected.get(report.level, set())

@@ -20,16 +20,22 @@ from dpdetect import matcher
 from helpers import RELATIONS, edges, random_system, relabel
 
 
-def _images(pattern, system, prefix=None):
+def _images(pattern, system, lessons=None):
     """The images ``_embeddings`` finds for the whole pattern, each checked
     to be an injective node map that carries every edge onto its image.
-    The search's failing prefix is appended to ``prefix``, if given."""
+
+    If ``lessons`` is given, ``_search`` searches the pattern too and
+    appends its failing prefix there, if it learns one; the prefix is
+    checked to embed into the pattern and not into the system."""
     fragment = tuple(sorted(pattern))
-    plan = matcher._plan(fragment)
-    found, placed = matcher._embeddings(matcher._SystemIndex(frozenset(system)), plan)
-    images = list(found)
-    if prefix is not None:
-        prefix.extend(matcher._failing_prefix(fragment, plan, placed()))
+    index = matcher._SystemIndex(frozenset(system))
+    images = list(matcher._embeddings(index, matcher._plan(fragment))[0])
+    if lessons is not None:
+        known = len(lessons)
+        matcher._search([fragment], index, len(fragment), lessons)
+        for lesson in lessons[known:]:
+            assert next(matcher._embeddings(index, lesson)[0], None) is None
+            assert next(matcher._embeddings(matcher._SystemIndex(fragment), lesson)[0], None)
     for image in images:
         mapping = {}
         for edge, target in zip(fragment, image):
@@ -247,14 +253,24 @@ def test_a_1000_step_plan_compiles_to_source_linear_in_its_steps():
         assert len(matcher._source(structure)) < 320 * steps
 
 
-def test_a_3000_step_plan_compiles_and_learns_its_failing_prefix():
+def _lesson_edges(fragment, lesson):
+    """The fragment edges a learned plan places, and its check count."""
+    structure, codes = lesson
+    return [fragment[step[4]] for step in structure], len(codes) - len(structure)
+
+
+def test_a_3000_step_plan_compiles_and_learns_where_it_failed():
     # The search counts its placed steps with one mark, so nothing in its
-    # source nests deeper as the plan grows: a 3,000-edge chain compiles,
-    # finds no image in a 3-edge chain and learns a prefix shorter than it.
+    # source nests deeper as the plan grows: a 3,000-edge chain compiles
+    # and finds no image in a 3-edge chain.  Only the chain's middle edge
+    # has two nodes with an in- and an out-edge, so step 2 places nothing:
+    # the failing prefix is steps 1 and 2, whose 3 nodes each have a check.
     chain = _chain(3000)
-    prefix = []
-    assert _images(chain, _chain(3, "s"), prefix) == []
-    assert len(prefix) < len(chain) and is_weakly_connected(prefix)
+    lessons = []
+    assert _images(chain, _chain(3, "s"), lessons) == []
+    [lesson] = lessons
+    placed, checks = _lesson_edges(tuple(sorted(chain)), lesson)
+    assert (len(placed), checks) == (2, 3) and is_weakly_connected(placed)
     source = matcher._source(matcher._plan(tuple(sorted(_chain(5))))[0])
     assert "f0" not in source and source.count(" := ") == 4
 
@@ -267,13 +283,19 @@ def test_star_images_are_the_ordered_leaf_choices(leaves, hub):
     assert len(images) == len(set(images)) == math.perm(hub, leaves)
 
 
-def test_failing_prefix_is_learned_across_a_chunk_boundary(monkeypatch):
-    # Two disjoint 20-edge gen paths: the longest path has 20 edges.
+def test_a_failed_search_is_learned_across_a_chunk_boundary(monkeypatch):
+    # Two disjoint 20-edge gen paths: the longest path has 20 edges, and 19
+    # nodes of each have an in- and an out-edge.  The search places 18
+    # steps, which bind 19 nodes that each need both, and step 19 places
+    # nothing: the failing prefix is 19 steps whose 20 nodes each have a
+    # check, past the first window.
     system = _chain(20, "a") | _chain(20, "b")
     chain = _chain(40)
-    prefix = []
-    assert _images(chain, system, prefix) == []
-    assert len(prefix) == 21 and is_weakly_connected(prefix)
+    lessons = []
+    assert _images(chain, system, lessons) == []
+    [lesson] = lessons
+    placed, checks = _lesson_edges(tuple(sorted(chain)), lesson)
+    assert (len(placed), checks) == (19, 20) and is_weakly_connected(placed)
     # Every level from 39 down to 21 contains that prefix and is skipped.
     searched = []
     original = matcher._embeddings
@@ -307,14 +329,16 @@ def test_failing_prefix_is_learned_across_a_chunk_boundary(monkeypatch):
 def test_type_checks_reject_every_root_and_learn_the_whole_fragment(pattern, system):
     # The first plan edge embeds on its own, but every root candidate lacks
     # one of its node's other types, so step 1 places nothing.  The failing
-    # prefix is that edge plus the first edge of each missing type: here
-    # the whole fragment, which is not learned, so level 1 is searched.
+    # prefix is step 1 with its one check, which stands for the other edge:
+    # it states the whole fragment.  It is smaller than the fragment, so it
+    # is learned; no 1-edge fragment contains it, so level 1 is searched.
     fragment = tuple(sorted(pattern))
     first = fragment[matcher._plan(fragment)[0][0][4]]
     assert oracle_find_matches(system, [first], 1).rows
-    prefix = []
-    assert _images(pattern, system, prefix) == []
-    assert sorted(prefix) == list(fragment)
+    lessons = []
+    assert _images(pattern, system, lessons) == []
+    [lesson] = lessons
+    assert _lesson_edges(fragment, lesson) == ([first], 1)
     report = detect(system, pattern)
     assert report == oracle_detect(system, pattern)
     assert report.level == 1
