@@ -127,7 +127,7 @@ all patterns run against one model share a single index even when each
 run parses the model anew.  The index builds each lookup table on its
 first read and keeps it, so it holds only the tables that some search
 has read; a fragment's own index, which the class test reads, builds
-only those of the plans tested against it.
+only those of the plans tested against it, and never its ranks.
 ``detect`` fetches the index once, before its level walk, and not at all
 for an empty system, which is absent without a walk.  The compiled
 searches are kept by plan structure in a bounded least-recently-used
@@ -317,14 +317,20 @@ class _SystemIndex(dict):
     reads are built.  Buckets hold sorted tuples so iteration order is
     deterministic, and the self-loop flag in every code keeps a non-loop
     pattern edge from seeing loop candidates.  ``rank`` maps each edge to
-    its position in that sorted order, which keys the rows of ``_search``.
+    its position in that sorted order, which keys the rows of ``_search``;
+    it too is built on its first read, so the indexes of fragments, which
+    only the class and prefix tests read, never build it.
     """
 
     def __init__(self, edges: Collection[EdgeTuple]) -> None:
-        self.rank = dict(zip(sorted(edges), range(len(edges))))
+        self.edges = sorted(edges)
         self.filed: defaultdict[tuple[int, int], list[EdgeTuple]] = defaultdict(list)
-        for edge in self.rank:
+        for edge in self.edges:
             self.filed[edge[2:]].append(edge)
+
+    @functools.cached_property
+    def rank(self) -> dict[EdgeTuple, int]:
+        return dict(zip(self.edges, range(len(self.edges))))
 
     def __missing__(self, code: _Code) -> dict:
         key, buckets = _KEYS[code[2]], defaultdict(list)

@@ -25,17 +25,17 @@ class ModelSyntaxError(ValueError):
         self.line = line
 
 
-# Each directive word with its operand count and the relation code of the
-# edge it adds.  ``selfassoc x`` is ``assoc x x``: an edge runs from the
-# first operand to the last.
+# Each directive word with its token count, the word included, and the
+# relation code of the edge it adds, 0 for ``class``.  ``selfassoc x`` is
+# ``assoc x x``: an edge runs from the first operand to the last.
 _DIRECTIVES = {
-    "class": (1, None),
-    "selfassoc": (1, RelationKind.ASSOCIATION.value),
-    "assoc": (2, RelationKind.ASSOCIATION.value),
-    "dep": (2, RelationKind.DEPENDENCY.value),
-    "gen": (2, RelationKind.GENERALIZATION.value),
+    "class": (2, 0),
+    "selfassoc": (2, RelationKind.ASSOCIATION.value),
+    "assoc": (3, RelationKind.ASSOCIATION.value),
+    "dep": (3, RelationKind.DEPENDENCY.value),
+    "gen": (3, RelationKind.GENERALIZATION.value),
 }
-_WORD_FOR = {relation: word for word, (arity, relation) in _DIRECTIVES.items() if arity == 2}
+_WORD_FOR = {relation: word for word, (count, relation) in _DIRECTIVES.items() if count == 3}
 
 
 def parse_model(text: str) -> ClassGraph:
@@ -49,41 +49,47 @@ def parse_model(text: str) -> ClassGraph:
     misplaced or duplicate header, or a duplicate class.  Tokens come from
     ``str.split()`` of a line cut at ``#``, so they keep the identifier
     rule: edges are assembled unchecked, and ``ClassGraph`` checks each node.
+
+    A parsed graph holds one ``str`` object per class name, the first token
+    read for it, in its nodes and in every edge.  Dict lookups and ``str``
+    equality return at once when both sides are one object, so the
+    matcher's index probes and injectivity tests and the report's name and
+    edge lookups hit without comparing characters, and no duplicate of a
+    name is stored.
     """
     name = ""
-    nodes: set[str] = set()
+    nodes: dict[str, str] = {}  # each name's one object, keyed on itself
+    intern = nodes.setdefault
     explicit: set[str] = set()
     edges: set[EdgeTuple] = set()
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split("#", 1)[0].split()
+    for lineno, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        tokens = (line.split("#", 1)[0] if "#" in line else line).split()
         if not tokens:
             continue
-        kind, *operands = tokens
-        if kind == "model":
-            if name:
-                raise ModelSyntaxError("duplicate model header", lineno)
-            # Every other directive declares at least one class.
-            if nodes:
-                raise ModelSyntaxError("model header must be the first directive", lineno)
-            if len(operands) != 1:
-                raise ModelSyntaxError("'model' expects exactly one name", lineno)
-            name = operands[0]
-            continue
-        if kind not in _DIRECTIVES:
-            raise ModelSyntaxError(f"unknown directive {kind!r}", lineno)
-        arity, relation = _DIRECTIVES[kind]
-        if len(operands) != arity:
-            raise ModelSyntaxError(
-                f"{kind!r} expects {arity} operand(s), got {len(operands)}", lineno
-            )
-        if relation is None:
-            if operands[0] in explicit:
-                raise ModelSyntaxError(f"duplicate class {operands[0]!r}", lineno)
-            explicit.add(operands[0])
+        count, relation = _DIRECTIVES.get(tokens[0], (0, 0))
+        if len(tokens) != count:
+            kind, got = tokens[0], len(tokens) - 1
+            if count:
+                fault = f"{kind!r} expects {count - 1} operand(s), got {got}"
+            elif kind != "model":
+                fault = f"unknown directive {kind!r}"
+            elif name:
+                fault = "duplicate model header"
+            elif nodes:  # every other directive declares at least one class
+                fault = "model header must be the first directive"
+            elif got != 1:
+                fault = "'model' expects exactly one name"
+            else:
+                name = tokens[1]
+                continue
+            raise ModelSyntaxError(fault, lineno)
+        elif relation:
+            source, target = intern(tokens[1], tokens[1]), intern(tokens[-1], tokens[-1])
+            edges.add(_assemble(EdgeTuple, source, target, relation))
+        elif tokens[1] in explicit:
+            raise ModelSyntaxError(f"duplicate class {tokens[1]!r}", lineno)
         else:
-            edges.add(_assemble(EdgeTuple, operands[0], operands[-1], relation))
-        nodes.update(operands)
+            explicit.add(intern(tokens[1], tokens[1]))
     return ClassGraph(name=name, nodes=frozenset(nodes), edges=frozenset(edges))
 
 

@@ -10,6 +10,7 @@ from dpdetect import (
     ModelSyntaxError,
     RelationKind,
     builtin_catalog,
+    load_catalog,
     make_edge,
     parse_model,
     render_model,
@@ -158,3 +159,41 @@ def test_parse_then_graph_equivalence_between_fixtures(sample_system, sample_sys
     flipped = {make_edge("c", "a", 1)}
     assert sample_system.edges - sample_system_alt.edges == {make_edge("a", "c", 1)}
     assert sample_system_alt.edges - sample_system.edges == flipped
+
+
+def _seeded_model_text(seed, classes=2000, edge_count=10000):
+    """A model of ``classes`` multi-character class names and about
+    ``edge_count`` random edges, 1% of them self-loops, with the ``class``
+    lines shuffled in among the edge lines, so names are read first from
+    either kind of line."""
+    rng = random.Random(seed)
+    names = [f"c{i:05d}" for i in range(classes)]
+    lines = [f"class {name}" for name in names]
+    for _ in range(edge_count // 100):
+        lines.append(f"selfassoc {rng.choice(names)}")
+    for _ in range(edge_count - edge_count // 100):
+        word = rng.choice(("assoc", "dep", "gen"))
+        lines.append(f"{word} {rng.choice(names)} {rng.choice(names)}")
+    rng.shuffle(lines)
+    return f"model seeded-{seed}\n" + "\n".join(lines) + "\n"
+
+
+def test_a_parsed_graph_holds_one_object_per_class_name(sample_system, tmp_path):
+    # Every node and every edge endpoint of a parsed graph is the one object
+    # its name was first read as, so index probes and name lookups hit by
+    # identity.  Single-character names are shared by CPython anyway; the
+    # seeded model's and the catalog directory's names are not.
+    seeded = parse_model(_seeded_model_text(1))
+    assert len(seeded.nodes) == 2000
+    (tmp_path / "observer.cg").write_text(
+        "model observer\nassoc Subject Observer\ngen Concrete Observer\n"
+        "# Notifies its observers.\ndep Subject Concrete#after a token\n"
+    )
+    (tmp_path / "chain.cg").write_text("class first\nassoc first second\nassoc second third\n")
+    graphs = [sample_system, seeded, *builtin_catalog().entries.values()]
+    graphs.extend(load_catalog(tmp_path).entries.values())
+    assert len(graphs) == 2 + 4 + 6
+    for graph in graphs:
+        for parsed in (graph, parse_model(render_model(graph))):
+            ends = [end for edge in parsed.edges for end in edge[:2]]
+            assert len({id(name) for name in [*parsed.nodes, *ends]}) == len(parsed.nodes)
