@@ -9,6 +9,7 @@ stderr so stdout stays stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 # What ``json.JSONEncoder(ensure_ascii=False).encode`` returns for a
@@ -18,6 +19,7 @@ from _json import encode_basestring as _string
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from types import CodeType, FunctionType
 
 from . import __version__
 from .catalog import CatalogError, PatternCatalog, load_catalog
@@ -121,31 +123,44 @@ def _edge_json(edge: EdgeTuple) -> str:
     )
 
 
+def _row_source(edges: int, nodes: int) -> str:
+    """Source of ``row(s, e, n, p0, ..., a0, b0, ...)``, which returns a
+    row's text as the tuple of the parts ``p<i>`` and, between two, a
+    slot: edge ``i``'s text ``e[s[i]]``, then node ``k``'s
+    ``n[s[a<k>][b<k>]]``.  The source holds only names made here and
+    integers."""
+    slots = [*map("e[s[{}]]".format, range(edges)), *map("n[s[a{0}][b{0}]]".format, range(nodes))]
+    names = [*map("p{}".format, range(len(slots) + 1)), *map("a{0}, b{0}".format, range(nodes))]
+    pieces = "".join(map("p{}, {}, ".format, range(len(slots)), slots))
+    return "def row(s, e, n, {}):\n return {}p{},\n".format(", ".join(names), pieces, len(slots))
+
+
+@functools.lru_cache(maxsize=128)
+def _row_code(edges: int, nodes: int) -> CodeType:
+    """``_row_source`` compiled, for the 128 latest layouts; the code
+    alone, so a dropped entry leaves no reference cycle."""
+    namespace: dict[str, object] = {}
+    exec(_row_source(edges, nodes), namespace)
+    return namespace.pop("row").__code__
+
+
 def _json_chunks(document: ReportDocument) -> Iterator[str]:
     """The JSON report in chunks: the head of the document and of each
     result, and each result's rows in batches of ``_BATCH_ROWS``.
 
-    All rows of one fragment share their ``pattern_edges`` text and their
-    sorted mapping keys, so each fragment gets one template, laid out once
-    with a slot per system edge and per mapped node; a row only fills the
-    slots from cached edge texts and encoded node names.  The template is
-    keyed on the system edge count too, so a row that does not align,
-    which ``--verify`` reports but still prints, renders as ``json.dumps``
-    would render it.  A row looks its template up only when its
-    ``pattern_edges`` object or size differs from the row before it, and
-    each template starts with the separator between two rows.  A batch
-    gathers the pieces of all its rows in one list, joined once, and the
-    first batch of a result drops its leading separator.  It checks no
-    identifier (``ClassGraph`` and ``EdgeTuple`` do); ``_string`` escapes
-    whatever a name holds."""
+    Each ``(pattern_edges, size)`` gets a template: a function on
+    ``_row_code``'s code whose defaults bind the text caches, the text
+    between its slots, led by the row separator, and where each mapped
+    node is read.  So a row of any size renders as ``json.dumps`` would.
+    A row looks its template up only when its ``pattern_edges`` object or
+    size differs from the row before it.  It checks no identifier
+    (``ClassGraph`` and ``EdgeTuple`` do); ``_string`` escapes any."""
     edge_text = _Encoded(_edge_json)
     node_text = _Encoded(_string)
 
     def template(shape: tuple[tuple[EdgeTuple, ...], int]):
         pattern_edges, size = shape
-        # Where each node's value is read: the position of its system node,
-        # by the rule ``MatchRow.mapping`` reads the node itself by.  The
-        # keys are sorted here, once.
+        # Where each node is read, by ``MatchRow.mapping``'s rule, in key order.
         source = _node_map(pattern_edges, [((number, 0), (number, 1)) for number in range(size)])
         keys = sorted(source)
         text = _block([
@@ -153,9 +168,9 @@ def _json_chunks(document: ReportDocument) -> Iterator[str]:
             _block([_SLOT] * size, " " * 10, '"system_edges": [', "]"),
             _block([f"{_string(k)}: {_SLOT}" for k in keys], " " * 10, '"mapping": {', "}"),
         ], " " * 8, "{", "}")
-        # The text between the slots, with a slot after each but the last.
-        pieces = [piece for part in (_ROW_SEPARATOR + text).split(_SLOT) for piece in (part, "")]
-        return pieces[:-1], [source[k] for k in keys]
+        places = [field for k in keys for field in source[k]]
+        defaults = (edge_text, node_text, *(_ROW_SEPARATOR + text).split(_SLOT), *places)
+        return FunctionType(_row_code(size, len(keys)), {}, "row", defaults)
 
     templates = _Encoded(template)
 
@@ -165,11 +180,8 @@ def _json_chunks(document: ReportDocument) -> Iterator[str]:
             system = row.system_edges
             if row.pattern_edges is not shape or len(system) != size:
                 shape, size = row.pattern_edges, len(system)
-                pieces, sources = templates[shape, size]
-            pieces[1::2] = [edge_text[e] for e in system] + [
-                node_text[system[number][end]] for number, end in sources
-            ]
-            out += pieces
+                fill = templates[shape, size]
+            out += fill(system)
         return "".join(out)
 
     results = []

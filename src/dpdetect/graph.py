@@ -178,8 +178,9 @@ class ClassGraph(_Record):
         nodes, edges = frozenset(nodes), frozenset(edges)
         for node in nodes:
             _check_identifier(node)
-        missing = {e[0] for e in edges}.union([e[1] for e in edges]) - nodes
-        if missing:
+        starts, ends = map(itemgetter(0), edges), map(itemgetter(1), edges)
+        if not (nodes.issuperset(starts) and nodes.issuperset(ends)):
+            missing = {end for edge in edges for end in edge[:2]} - nodes
             raise GraphIntegrityError(
                 f"edges reference undeclared nodes: {', '.join(sorted(missing))}"
             )

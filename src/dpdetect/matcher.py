@@ -89,12 +89,9 @@ label-and-degree filter of subgraph matching (Sun and Luo, SIGMOD 2020),
 reduced to presence.  The plan's structure, the slots each step keys its
 lookup on, the slots it binds and the number of checks on each, is
 compiled into Python source, one generator expression with one ``for``
-clause per step, as in query compilation (Neumann, PVLDB 2011);
-``collections.namedtuple`` builds its ``__new__`` the same way.  The
+clause per step, as in query compilation (Neumann, PVLDB 2011).  The
 tables are arguments, so fragments of one structure share one compiled
-search.  Bound nodes are local variables, and a candidate is checked only
-at the endpoints its step binds, by comparing each new node with the
-nodes bound before it and by its type checks.  A generator expression
+search.  Bound nodes are local variables.  A generator expression
 may hold any number of ``for`` clauses and the mark is one name, so one
 expression serves a plan of any length.  The source holds only integers
 and names that ``_source`` makes, never text from a model or a catalog.
@@ -114,9 +111,8 @@ are keyed by the sorted ranks of their system edges, which the index
 numbers in sorted order: ranks are one-to-one and rise with the edges,
 so the keys tell edge sets apart and sort as the sorted edges would,
 while comparing ints.  A row's node mapping is read off the aligned
-edges on demand, in fragment order.  The JSON report sorts the mapping
-keys where order becomes bytes, once per fragment template rather than
-per row, and is written as it is rendered.
+edges on demand, in fragment order.  The JSON report sorts the keys
+once per row template and compiles its code once per layout.
 
 There are two caches.  The system index, ranks included, is kept with
 the latest system edge set as one ``(system, index)`` pair, ``_kept``,
@@ -707,14 +703,10 @@ def _embeddings(index: _SystemIndex, plan: _Plan) -> _Search:
     The search is the code that ``_compiled`` generated for the structure
     of ``plan``, the fragment's ``_plan``, run with the index table that
     each step's code names, looked up once here; the index builds a table
-    on its first read, and a code the system lacks gets an empty one.  It
-    has one ``for`` clause per plan step, takes each step's candidates from
-    one lookup in its table, and checks a candidate only at the endpoints
-    its step binds, by comparing each new node with the nodes bound before
-    it and testing it against the tables of its checks.  The mapping stays
-    injective, so distinct pattern edges always land on distinct system
-    edges.  The count is final once the images have run out, and
-    ``_search`` then cuts the plan after the step that placed nothing.
+    on its first read, and a code the system lacks gets an empty one.
+    ``_source`` says how it checks candidates.  The count is final once
+    the images have run out, and ``_search`` then cuts the plan after the
+    step that placed nothing.
     """
     structure, codes = plan
     return _compiled(structure)((), [index[code] for code in codes])

@@ -1,9 +1,12 @@
 """CLI behavior: output formats, determinism, exit codes, verification."""
 
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -228,6 +231,10 @@ def _reference_dict(document):
     }
 
 
+def _json_dumps(document):
+    return json.dumps(_reference_dict(document), indent=2, ensure_ascii=False) + "\n"
+
+
 @pytest.mark.parametrize("model_name", ["", "m\u00e9\u4e2d\"q\\"])
 def test_render_json_matches_json_dumps(model_name):
     # The sample system's shape, so every verdict shows up, over identifiers
@@ -240,8 +247,7 @@ def test_render_json_matches_json_dumps(model_name):
     assert {report.verdict for report in results} == set(Verdict)
     assert max(report.occurrences for report in results) > 1
     document = cli.ReportDocument(model_name, results, tuple(catalog.names()))
-    expected = json.dumps(_reference_dict(document), indent=2, ensure_ascii=False) + "\n"
-    assert cli.render_json(document) == expected
+    assert cli.render_json(document) == _json_dumps(document)
 
 
 def _pairs(count):
@@ -283,9 +289,14 @@ def _edge_case_document(case):
         return cli.ReportDocument(case, results, ("alternating", "equal"))
     else:  # "rows that do not align", which --verify reports but still prints
         pattern = (make_edge("P", "Q", 1), make_edge("Q", "R", 1))
+        # Rows of one size share a template, whatever relation or self-loop
+        # flag their system edges have; a row may have no system edge.
         rows = (
             MatchRow(pattern, tuple(sorted(_pairs(3)))),
             MatchRow(pattern, (make_edge("a0", "b0", 1),)),
+            MatchRow(pattern, (make_edge("a0", "b0", 2),)),
+            MatchRow(pattern, (make_edge("a0", "a0", 1),)),
+            MatchRow(pattern, ()),
         )
         report = DetectionReport("chain", 2, MatchTable(2, rows))
         return cli.ReportDocument(case, (report,), ("chain",))
@@ -300,8 +311,7 @@ def _edge_case_document(case):
 )
 def test_json_chunks_join_to_json_dumps(case):
     document = _edge_case_document(case)
-    expected = json.dumps(_reference_dict(document), indent=2, ensure_ascii=False) + "\n"
-    assert "".join(cli._json_chunks(document)) == expected
+    assert "".join(cli._json_chunks(document)) == _json_dumps(document)
     rows = [len(report.table.rows) for report in document.results]
     if case == "rows past one batch":
         assert rows == [cli._BATCH_ROWS + 1]
@@ -318,6 +328,86 @@ def test_json_chunks_join_to_json_dumps(case):
             a.pattern_edges == b.pattern_edges and a.pattern_edges is not b.pattern_edges
             for a, b in zip(equal, equal[1:])
         )
+
+
+def test_a_wide_row_compiles_to_code_linear_in_its_slots():
+    count = 3000
+    pattern = tuple(make_edge(f"p{i}", f"p{i + 1}", 1) for i in range(count))
+    system = tuple(make_edge(f"s{i}", f"s{i + 1}", 1 + i % 3) for i in range(count))
+    report = DetectionReport("wide", count, MatchTable(count, (MatchRow(pattern, system),)))
+    document = cli.ReportDocument("wide", (report,), ("wide",))
+    cli._row_code.cache_clear()
+    assert cli.render_json(document) == _json_dumps(document)
+    assert cli._row_code.cache_info().misses == 1
+    # One slot per system edge and per pattern node, each after a part.
+    source = cli._row_source(count, count + 1)
+    assert source.count(", e[s[") == count and source.count(", n[s[") == count + 1
+    # Twice the slots, twice the source and the bytecode, give or take.
+    half = cli._row_source(count // 2, count // 2 + 1)
+    assert len(source) <= 2.2 * len(half)
+    code, half_code = cli._row_code(count, count + 1), cli._row_code(count // 2, count // 2 + 1)
+    assert len(code.co_code) <= 2.2 * len(half_code.co_code)
+
+
+def test_row_layouts_of_equal_counts_share_one_code_object_in_a_bounded_cache(monkeypatch):
+    codes = []
+
+    def recording(code, *rest):
+        codes.append(code)
+        return types.FunctionType(code, *rest)
+
+    monkeypatch.setattr(cli, "FunctionType", recording)
+    cli._row_code.cache_clear()
+    document = _edge_case_document("fragment switches")
+    assert cli.render_json(document) == _json_dumps(document)
+    # Two one-edge fragments of a chain and one of another result: three
+    # templates of one layout, one edge and two nodes.
+    assert len(codes) == 3 and len(set(map(id, codes))) == 1
+    info = cli._row_code.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert info.maxsize is not None
+    for edges in range(info.maxsize + 1):
+        cli._row_code(edges, 0)
+    assert cli._row_code.cache_info().currsize == info.maxsize
+
+
+# A generated row function's whole source: generated names and integers
+# between fixed punctuation.
+_SLOT = r"(?:e\[s\[\d+\]\]|n\[s\[a\d+\]\[b\d+\]\])"
+_ROW_SOURCE = rf"def row\(s, e, n(?:, [pab]\d+)*\):\n return (?:p\d+, {_SLOT}, )*p\d+,\n"
+
+
+def test_no_document_text_reaches_the_generated_row_code(monkeypatch):
+    row_source = cli._row_source
+    sources = []
+
+    def recording(edges, nodes):
+        sources.append(row_source(edges, nodes))
+        return sources[-1]
+
+    monkeypatch.setattr(cli, "_row_source", recording)
+    cli._row_code.cache_clear()
+    document = _edge_case_document("template hazards")
+    assert cli.render_json(document) == _json_dumps(document)
+    assert sources
+    for source in sources:
+        assert re.fullmatch(_ROW_SOURCE, source)
+    for edges, nodes in [(1, 2), (2, 3)]:
+        code = cli._row_code(edges, nodes)
+        assert all(constant is None or type(constant) is int for constant in code.co_consts)
+
+
+def test_a_dropped_row_code_leaves_no_reference_cycle():
+    document = _edge_case_document("template hazards")
+    cli.render_json(document)
+    assert cli._row_code.cache_info().currsize
+    gc.collect()
+    gc.disable()
+    try:
+        cli._row_code.cache_clear()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class _Recorder:
