@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 # What ``json.JSONEncoder(ensure_ascii=False).encode`` returns for a
@@ -72,11 +73,12 @@ def render_text(document: ReportDocument) -> str:
     return "\n\n".join(sections) + "\n"
 
 
-# Rows per chunk of the JSON report.  The report is written as it is
-# rendered, so no more than one batch of rows is held as text at a time.
-# That text grows with the width of the rows, a few hundred bytes per edge,
-# so a batch is kept small; a smaller one only adds writes.
-_BATCH_ROWS = 256
+# Pieces per chunk of the JSON report: a chunk ends with the row that takes
+# it past this count.  A row has a slot and a part for each system edge and
+# each mapped node, so its pieces grow with its text, which averages about
+# 60 bytes a piece on the bench workloads: a chunk holds some 30-40 KiB
+# however wide its rows are.  A smaller cap only adds writes.
+_CHUNK_PIECES = 512
 
 # Marks a slot to be filled in laid-out JSON.  Encoded text never holds a
 # raw NUL, since the encoder escapes it, so the mark cannot clash with it.
@@ -146,7 +148,8 @@ def _row_code(edges: int, nodes: int) -> CodeType:
 
 def _json_chunks(document: ReportDocument) -> Iterator[str]:
     """The JSON report in chunks: the head of the document and of each
-    result, and each result's rows in batches of ``_BATCH_ROWS``.
+    result, and each result's rows, a chunk ending with the row whose
+    pieces take it past ``_CHUNK_PIECES``.
 
     Each ``(pattern_edges, size)`` gets a template: a function on
     ``_row_code``'s code whose defaults bind the text caches, the text
@@ -174,16 +177,6 @@ def _json_chunks(document: ReportDocument) -> Iterator[str]:
 
     templates = _Encoded(template)
 
-    def batch_text(rows) -> str:
-        out, shape, size = [], None, -1
-        for row in rows:
-            system = row.system_edges
-            if row.pattern_edges is not shape or len(system) != size:
-                shape, size = row.pattern_edges, len(system)
-                fill = templates[shape, size]
-            out += fill(system)
-        return "".join(out)
-
     results = []
     for report in document.results:
         level = "null" if report.level is None else str(report.level)
@@ -204,9 +197,19 @@ def _json_chunks(document: ReportDocument) -> Iterator[str]:
     yield skeleton[0]
     tables = [report.table.rows for report in document.results if report.table.rows]
     for rows, after in zip(tables, skeleton[1:]):
-        for start in range(0, len(rows), _BATCH_ROWS):
-            batch = batch_text(rows[start:start + _BATCH_ROWS])
-            yield batch if start else batch[len(_ROW_SEPARATOR):]
+        # The first row of a table follows its bracket, not another row.
+        out, cut, shape, size = [], len(_ROW_SEPARATOR), None, -1
+        for row in rows:
+            system = row.system_edges
+            if row.pattern_edges is not shape or len(system) != size:
+                shape, size = row.pattern_edges, len(system)
+                fill = templates[shape, size]
+            out += fill(system)
+            if len(out) > _CHUNK_PIECES:
+                yield "".join(out)[cut:]
+                out, cut = [], 0
+        if out:
+            yield "".join(out)[cut:]
         yield after
 
 
@@ -331,20 +334,25 @@ def _reports_agree(ours: DetectionReport, reference: DetectionReport) -> bool:
     )
 
 
-def cmd_detect(args: argparse.Namespace) -> int:
+def _detections(args: argparse.Namespace) -> tuple[ReportDocument, list[str]] | None:
+    """The document of every selected detection and the names of those
+    that failed ``--verify``, or None after reporting why the model, the
+    catalog or the pattern could not be had."""
     model = _read_model(args.model)
     if model is None:
-        return EXIT_ERROR
+        return None
     try:
         catalog = _resolve_catalog(args.catalog)
     except CatalogError as err:
-        return _fail(str(err))
+        _fail(str(err))
+        return None
     if args.pattern is not None:
         wanted = args.pattern.lower()
         if catalog.get(wanted) is None:
-            return _fail(
+            _fail(
                 f"unknown pattern {args.pattern!r}; available: {', '.join(catalog.names())}"
             )
+            return None
         selected = [wanted]
     else:
         selected = catalog.names()
@@ -378,6 +386,35 @@ def cmd_detect(args: argparse.Namespace) -> int:
         results=tuple(results),
         catalog_names=tuple(catalog.names()),
     )
+    return document, failed
+
+
+def cmd_detect(args: argparse.Namespace) -> int:
+    # The edges, rows and images that parsing and detection build are tuple
+    # subclasses and slotted records, which the cyclic collector tracks and
+    # walks, tens of thousands of them on a large model, though none is in a
+    # cycle: a cold run of these steps leaves no cyclic garbage
+    # (test_a_cold_detect_run_makes_no_reference_cycle).  So the collector
+    # is off for them, and back on for the render.  Freezing before one full
+    # collection moves every object the run built out of the young
+    # generation, so the render's first allocation does not walk them all,
+    # and the collection, over empty generations, still empties the free
+    # lists, so the tuples parked there are not kept as peak memory.  A
+    # caller's own frozen objects are left frozen.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        found = _detections(args)
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.collect()
+            gc.unfreeze()
+    finally:
+        if enabled:
+            gc.enable()
+    if found is None:
+        return EXIT_ERROR
+    document, failed = found
     if not _write(_json_chunks(document) if args.format == "json" else [render_text(document)]):
         return EXIT_ERROR
     return EXIT_VERIFY_MISMATCH if failed else EXIT_OK

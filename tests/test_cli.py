@@ -22,6 +22,10 @@ from dpdetect import (
 )
 from dpdetect import cli, matcher
 from dpdetect.cli import CATALOG_ENV_VAR, main
+from dpdetect.graph import ClassGraph
+from dpdetect.matcher import check_table
+from dpdetect.model import render_model
+from dpdetect.oracle import OracleSizeError, oracle_detect
 from helpers import SAMPLE_SYSTEM
 
 FIXTURES = sorted(path for path in (Path(__file__).parent / "fixtures").iterdir() if path.is_dir())
@@ -112,9 +116,33 @@ def test_json_report_is_pinned(capsys, fixture):
     assert out.encode("utf-8") == (fixture / "expected.json").read_bytes()
 
 
-def test_batches_fixture_has_a_result_longer_than_one_batch():
+def _pieces(system_edges, mapping):
+    """How many pieces ``cli._json_chunks`` renders a row in: a slot for
+    each system edge and each mapped node, a part before each slot and one
+    after the last."""
+    return 2 * (len(system_edges) + len(mapping)) + 1
+
+
+# Rows of one edge and two nodes, seven pieces each, that fill one chunk of
+# the JSON report: the chunk ends with the row that takes it past
+# ``cli._CHUNK_PIECES``.
+_ONE_EDGE_CHUNK = cli._CHUNK_PIECES // 7 + 1
+
+
+def _crosses_a_chunk(rows):
+    """Whether ``rows`` are written in more than one chunk: those before the
+    last take a chunk past its cap."""
+    pieces = [_pieces(row.system_edges, row.mapping) for row in rows[:-1]]
+    return sum(pieces) > cli._CHUNK_PIECES
+
+
+def test_batches_fixture_has_a_result_longer_than_one_chunk():
     results = json.loads((BATCHES / "expected.json").read_text("utf-8"))["results"]
-    assert max(len(result["rows"]) for result in results) > cli._BATCH_ROWS
+    assert any(
+        sum(_pieces(row["system_edges"], row["mapping"]) for row in result["rows"][:-1])
+        > cli._CHUNK_PIECES
+        for result in results
+    )
 
 
 def _record_fragment_sizes(monkeypatch):
@@ -269,8 +297,8 @@ def _edge_case_document(case):
         ])
         pattern = frozenset([make_edge("%d", "{}", 1), make_edge("{}", '"\x00', 1)])
         patterns = {"chain%s": pattern, "loop{}": frozenset([make_edge("%%", "%%", 1)])}
-    elif case == "rows past one batch":
-        system = _pairs(cli._BATCH_ROWS + 1)
+    elif case in ("rows that fill one chunk", "rows past one chunk"):
+        system = _pairs(_ONE_EDGE_CHUNK + (case == "rows past one chunk"))
         patterns = {"facade": builtin_catalog().get("facade").edges}
     elif case == "absent result":
         system = _pairs(2)
@@ -278,9 +306,9 @@ def _edge_case_document(case):
     elif case == "fragment switches":
         # Level 1 of an assoc-then-dep chain against assoc and dep edges that
         # alternate in sorted order: the rows of the two fragments interleave
-        # and run past one batch.  The second table's rows carry equal but
+        # and run past one chunk.  The second table's rows carry equal but
         # not identical pattern edge tuples.
-        count = cli._BATCH_ROWS + 3
+        count = _ONE_EDGE_CHUNK + 3
         system = frozenset(make_edge(f"x{i:05}", f"y{i:05}", 1 + i % 2) for i in range(count))
         chain = frozenset([make_edge("a", "b", 1), make_edge("b", "c", 2)])
         pattern = (make_edge("P", "Q", 1),)
@@ -306,22 +334,28 @@ def _edge_case_document(case):
 
 @pytest.mark.parametrize(
     "case",
-    ["template hazards", "rows past one batch", "absent result", "no results",
-     "rows that do not align", "fragment switches"],
+    ["template hazards", "rows that fill one chunk", "rows past one chunk", "absent result",
+     "no results", "rows that do not align", "fragment switches"],
 )
 def test_json_chunks_join_to_json_dumps(case):
     document = _edge_case_document(case)
-    assert "".join(cli._json_chunks(document)) == _json_dumps(document)
+    chunks = list(cli._json_chunks(document))
+    assert "".join(chunks) == _json_dumps(document)
+    assert all(chunks)
     rows = [len(report.table.rows) for report in document.results]
-    if case == "rows past one batch":
-        assert rows == [cli._BATCH_ROWS + 1]
+    if case == "rows that fill one chunk":
+        # The head, the rows, which end the chunk, and the tail.
+        assert rows == [_ONE_EDGE_CHUNK] and len(chunks) == 3
+    elif case == "rows past one chunk":
+        # The last row is the only one of the second chunk.
+        assert rows == [_ONE_EDGE_CHUNK + 1] and len(chunks) == 4
     elif case == "absent result":
         assert rows == [0]
     elif case == "template hazards":
         assert all(rows)
     elif case == "fragment switches":
         switching, equal = (report.table.rows for report in document.results)
-        assert len(switching) > cli._BATCH_ROWS
+        assert _crosses_a_chunk(switching)
         assert len({row.pattern_edges for row in switching}) == 2
         assert all(a.pattern_edges != b.pattern_edges for a, b in zip(switching, switching[1:]))
         assert all(
@@ -410,6 +444,113 @@ def test_a_dropped_row_code_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_a_cold_detect_run_makes_no_reference_cycle(monkeypatch):
+    # ``cmd_detect`` runs these steps with the collector off, which is safe
+    # only while they leave no cyclic garbage, with every cache cold too.
+    matcher._compiled.cache_clear()
+    cli._row_code.cache_clear()
+    monkeypatch.setattr(matcher, "_kept", (None, None))
+    gc.collect()
+    gc.disable()
+    try:
+        for fixture in FIXTURES:
+            model = cli._read_model(str(fixture / "model.cg"))
+            catalog = cli._resolve_catalog(str(fixture / "patterns"))
+            results = []
+            for name in catalog.names():
+                pattern = catalog.get(name).edges
+                results.append(detect(model.edges, pattern, name))
+                check_table(results[-1].table, model.edges, pattern)
+                try:
+                    oracle_detect(model.edges, pattern, name)
+                except OracleSizeError:
+                    pass
+            cli.render_json(cli.ReportDocument(model.name, tuple(results), tuple(catalog.names())))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+class _FailingStdout:
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+def _failing_detect(*args, **kwargs):
+    raise RuntimeError("detection failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "case",
+    ["text", "json", "unreadable model", "model syntax error", "catalog error",
+     "unknown pattern", "failed write", "raising detect"],
+)
+def test_detect_leaves_the_collector_as_it_found_it(
+    monkeypatch, tmp_path, sample_system_path, enabled, case
+):
+    model, options, code = str(sample_system_path), [], 0
+    if case == "json":
+        options = ["--format", "json"]
+    elif case == "unreadable model":
+        model, code = str(tmp_path / "missing.cg"), 1
+    elif case == "model syntax error":
+        (tmp_path / "bad.cg").write_text("assoc a\n", encoding="utf-8")
+        model, code = str(tmp_path / "bad.cg"), 1
+    elif case == "catalog error":
+        options, code = ["--catalog", str(tmp_path / "missing")], 1
+    elif case == "unknown pattern":
+        options, code = ["--pattern", "nosuch"], 1
+    elif case == "failed write":
+        monkeypatch.setattr(sys, "stdout", _FailingStdout())
+        code = 1
+    elif case == "raising detect":
+        monkeypatch.setattr(cli, "detect", _failing_detect)
+    # Detection runs with the collector off and the report is written with
+    # the caller's setting.
+    seen = []
+
+    def noting(function):
+        def noted(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return function(*args, **kwargs)
+
+        return noted
+
+    monkeypatch.setattr(cli, "detect", noting(cli.detect))
+    monkeypatch.setattr(cli, "_write", noting(cli._write))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if case == "raising detect":
+            with pytest.raises(RuntimeError, match="detection failed"):
+                main(["detect", model, *options])
+        else:
+            assert main(["detect", model, *options]) == code
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == 0
+    finally:
+        (gc.enable if was else gc.disable)()
+    if case in ("text", "json"):
+        assert seen == [False] * 4 + [enabled]
+
+
+def test_detect_leaves_a_callers_frozen_objects_frozen(sample_system_path):
+    held = [sample_system_path]
+    gc.freeze()
+    try:
+        # A frozen object is in none of the collector's generations.
+        assert id(held) not in set(map(id, gc.get_objects()))
+        assert main(["detect", str(sample_system_path)]) == 0
+        assert id(held) not in set(map(id, gc.get_objects())) and gc.isenabled()
+    finally:
+        gc.unfreeze()
+    assert id(held) in set(map(id, gc.get_objects()))
+
+
 class _Recorder:
     """Stands in for stdout and keeps each write apart."""
 
@@ -424,27 +565,52 @@ class _Recorder:
         pass
 
 
-def test_json_report_is_written_in_bounded_chunks(tmp_path, monkeypatch):
-    count = 3 * cli._BATCH_ROWS + 1
-    model = tmp_path / "pairs.cg"
-    model.write_text(
-        "model pairs\n" + "".join(f"assoc a{i} b{i}\n" for i in range(count)), encoding="utf-8"
-    )
-    recorder = _Recorder()
-    with monkeypatch.context() as patch:
-        patch.setattr(sys, "stdout", recorder)
-        assert main(["detect", str(model), "--format", "json"]) == 0
+def _chain(prefix, count):
+    return [make_edge(f"{prefix}{k}", f"{prefix}{k + 1}", 1) for k in range(count)]
 
+
+def test_json_report_is_written_in_bounded_chunks(tmp_path, monkeypatch):
+    # Rows of seven pieces: node-disjoint pairs, which three of the four
+    # built-ins match once per edge.  Rows of 27: six-edge chains, which a
+    # six-edge chain pattern matches once each.
+    count = 3 * _ONE_EDGE_CHUNK + 1
+    chains = frozenset(edge for i in range(60) for edge in _chain(f"c{i}n", 6))
+    chain = frozenset(_chain("p", 6))
+    (tmp_path / "patterns").mkdir()
+    (tmp_path / "patterns" / "chain.cg").write_text(
+        render_model(ClassGraph.from_edges("chain", chain)), encoding="utf-8"
+    )
     catalog = builtin_catalog()
-    results = tuple(detect(_pairs(count), catalog.get(name).edges, name) for name in catalog.names())
-    # Three of the four built-ins match each edge once, so each has a row per edge.
-    assert sorted(len(report.table.rows) for report in results) == [0, count, count, count]
-    document = cli.ReportDocument("pairs", results, tuple(catalog.names()))
-    assert "".join(recorder.writes) == cli.render_json(document)
-    # One batch of these one-edge rows is a few hundred kilobytes; the
-    # report as a whole is over a megabyte.
-    assert len(recorder.writes) > 1
-    assert max(map(len, recorder.writes)) <= cli._BATCH_ROWS * 512
+    cases = [
+        ("pairs", _pairs(count), {}, [0, count, count, count]),
+        ("chains", chains, {"chain": chain}, [60]),
+    ]
+    for name, system, user, sizes in cases:
+        model = tmp_path / f"{name}.cg"
+        model.write_text(render_model(ClassGraph.from_edges(name, system)), encoding="utf-8")
+        argv = ["detect", str(model), "--format", "json"]
+        if user:
+            argv += ["--catalog", str(tmp_path / "patterns"), "--pattern", "chain"]
+        recorder = _Recorder()
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", recorder)
+            assert main(argv) == 0
+        patterns = {**{n: catalog.get(n).edges for n in catalog.names()}, **user}
+        results = tuple(detect(system, patterns[n], n) for n in user or catalog.names())
+        names = tuple(sorted(patterns))
+        assert "".join(recorder.writes) == cli.render_json(cli.ReportDocument(name, results, names))
+        tables = [report.table.rows for report in results if report.table.rows]
+        assert sorted(len(report.table.rows) for report in results) == sizes
+        assert all(map(_crosses_a_chunk, tables))
+        (pieces,) = {_pieces(row.system_edges, row.mapping) for rows in tables for row in rows}
+        # Each write holds at most the rows whose pieces reach the cap and
+        # one row more, a few dozen kilobytes of text whatever the rows'
+        # width, while the report is several times that.
+        most = cli._CHUNK_PIECES // pieces + 1
+        assert max(write.count('"pattern_edges"') for write in recorder.writes) == most
+        largest = max(map(len, recorder.writes))
+        assert largest <= 100 * (cli._CHUNK_PIECES + pieces)
+        assert sum(map(len, recorder.writes)) > 3 * largest
 
 
 def test_json_rows_replay_their_mapping(capsys, sample_system_path):
