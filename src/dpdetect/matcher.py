@@ -484,7 +484,8 @@ def _levels(
 
     Every later level is derived from the one above: each fragment there
     loses one edge, except an edge that is the twin predecessor of another
-    edge it takes, and each connected result is kept once.  Every eligible
+    edge it takes.  The distinct drops are collected in one set, and each
+    is tested for connectivity once and kept if connected.  Every eligible
     fragment that is not a whole component is one such drop away from an
     eligible fragment of the level above: add an adjacent edge or, if that
     edge is a twin, the first edge of its group that the fragment lacks.
@@ -498,17 +499,13 @@ def _levels(
     fragments = components.get(m, []) if start == m else _grown(incident, twin_prev, top)
     for n in range(start, 0, -1):
         if n < start:
-            above, fragments, tried = fragments, list(components.get(n, ())), set()
-            for fragment in above:
+            drops = set()
+            for fragment in fragments:
                 kept = set(map(twin_prev.get, fragment))
                 for position, edge in enumerate(fragment):
-                    if edge in kept:
-                        continue
-                    smaller = fragment[:position] + fragment[position + 1 :]
-                    if smaller not in tried:
-                        tried.add(smaller)
-                        if is_weakly_connected(smaller):
-                            fragments.append(smaller)
+                    if edge not in kept:
+                        drops.add(fragment[:position] + fragment[position + 1 :])
+            fragments = [*components.get(n, ()), *filter(is_weakly_connected, drops)]
         fragments = tuple(sorted(fragments))
         if n <= top:
             yield n, fragments
@@ -531,7 +528,8 @@ def _types(edges: Sequence[EdgeTuple]) -> defaultdict[str, dict[_Code, list[int]
     an outgoing edge or a self-loop, and ``(relation, self_loop, 2)`` for
     an incoming one, so a self-loop is listed once.  Nodes, and each node's
     types, come in the order of their first edge.  The plan, the class
-    invariant and the twin leaves are all read off this."""
+    invariant and the twin leaves are all read off this; ``_search`` reads
+    it once per fragment, for both ``_shape`` and ``_plan``."""
     types: defaultdict[str, dict[_Code, list[int]]] = defaultdict(dict)
     for position, (source, target, relation, self_loop) in enumerate(edges):
         types[source].setdefault((relation, self_loop, 1), []).append(position)
@@ -554,9 +552,9 @@ def _canonical(fragment: tuple[EdgeTuple, ...]) -> list[int]:
     return order
 
 
-def _plan(fragment: Sequence[EdgeTuple]) -> _Plan:
-    """The static search plan for ``fragment``: its structure and its
-    codes.
+def _plan(fragment: Sequence[EdgeTuple], types: dict[str, dict[_Code, list[int]]]) -> _Plan:
+    """The static search plan for ``fragment``, whose typed incidence is
+    ``types``: its structure and its codes.
 
     Edges are placed most constrained first: the remaining edge with the
     most endpoints bound (a self-loop's node counts twice), then the one
@@ -588,7 +586,6 @@ def _plan(fragment: Sequence[EdgeTuple]) -> _Plan:
     fragments that differ only in their codes, such as paths of different
     relations, share one compiled search.
     """
-    types = _types(fragment)
     # Each edge's key: [endpoints bound, distinct types at its endpoints].
     keys = [[0, len(types[source]) + len(types[target])] for source, target, _, _ in fragment]
     remaining = list(range(len(fragment)))
@@ -712,10 +709,10 @@ def _embeddings(index: _SystemIndex, plan: _Plan) -> _Search:
     return _compiled(structure)((), [index[code] for code in codes])
 
 
-def _shape(fragment: tuple[EdgeTuple, ...]) -> tuple:
-    """Cheap isomorphism invariant: the node count plus, sorted, each
-    node's sorted ``(type, count)`` pairs, read off ``_types``."""
-    types = _types(fragment)
+def _shape(types: dict[str, dict[_Code, list[int]]]) -> tuple:
+    """Cheap isomorphism invariant of a fragment with the typed incidence
+    ``types``: the node count plus, sorted, each node's sorted ``(type,
+    count)`` pairs."""
     counts = (sorted((code, len(held)) for code, held in codes.items()) for codes in types.values())
     return len(types), tuple(sorted(map(tuple, counts)))
 
@@ -764,12 +761,13 @@ def _search(
     # fruitless one is isomorphic to it, and the class test leaves it out.
     representatives: dict[tuple, list[_Plan]] = {}
     for fragment in fragments:
-        bucket = representatives.setdefault(_shape(fragment), [])
+        types = _types(fragment)
+        bucket = representatives.setdefault(_shape(types), [])
         tests = bucket + failed
         own = _SystemIndex(fragment) if tests else None
         if any(next(_embeddings(own, plan)[0], None) for plan in tests):
             continue
-        structure, codes = plan = _plan(fragment)
+        structure, codes = plan = _plan(fragment, types)
         bucket.append(plan)
         images, placed = _embeddings(index, plan)
         canonical = None  # reads an image in canonical order, set when a key first repeats

@@ -51,6 +51,7 @@ def test_user_pattern_extends_catalog(tmp_path):
     )
     catalog = load_catalog(tmp_path)
     assert catalog.names() == ["composite", "facade", "observer", "prototype", "singleton"]
+    assert len(catalog) == len(catalog.names())
     assert catalog.is_user_defined("observer")
     assert not catalog.is_user_defined("facade")
 

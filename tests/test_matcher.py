@@ -384,7 +384,8 @@ def test_witness_is_least_in_canonical_order_not_in_fragment_order():
     pattern = edges(("a", "z", 1), ("b", "c", 1), ("c", "z", 1), ("d", "e", 1), ("e", "z", 1))
     system = edges(("w", "zz", 1), ("p", "y", 1), ("y", "zz", 1), ("q", "x", 1), ("x", "zz", 1))
     fragment = tuple(sorted(pattern))
-    assert [step[4] for step in matcher._plan(fragment)[0]] == [1, 2, 4, 3, 0]
+    plan = matcher._plan(fragment, matcher._types(fragment))
+    assert [step[4] for step in plan[0]] == [1, 2, 4, 3, 0]
     report = detect(system, pattern)
     pairs = [("w", "zz"), ("q", "x"), ("x", "zz"), ("p", "y"), ("y", "zz")]
     witness = tuple(make_edge(source, target, 1) for source, target in pairs)
@@ -468,7 +469,7 @@ def test_witness_is_the_least_image_in_canonical_order():
             assert row.system_edges == least(_canonical_order(fragment))
             # Rows whose witness is not the image the search meets first,
             # nor the least image read in fragment order.
-            plan = [step[4] for step in matcher._plan(fragment)[0]]
+            plan = [step[4] for step in matcher._plan(fragment, matcher._types(fragment))[0]]
             other_first += least(plan) != row.system_edges
             other_in_fragment_order += least(range(len(fragment))) != row.system_edges
     assert other_first >= 20 and other_in_fragment_order >= 20

@@ -242,8 +242,9 @@ def test_construction_copies_into_immutable_fields():
 
 
 # Modules a fresh ``dpdetect`` process has no use for: ``dataclasses`` and
-# what it imports, and ``typing``.
-UNUSED_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+# what it imports, ``typing``, and ``json``, whose one function ``cli`` takes
+# from ``_json``.
+UNUSED_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "json")
 
 
 def test_importing_the_command_loads_no_code_generation_modules():

@@ -5,6 +5,7 @@ import math
 import random
 import types
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +13,11 @@ from dpdetect import (
     builtin_catalog,
     detect,
     is_weakly_connected,
+    load_catalog,
     make_edge,
     oracle_detect,
     oracle_find_matches,
+    parse_model,
 )
 from dpdetect import matcher
 from helpers import RELATIONS, edges, random_system, relabel
@@ -29,7 +32,7 @@ def _images(pattern, system, lessons=None):
     checked to embed into the pattern and not into the system."""
     fragment = tuple(sorted(pattern))
     index = matcher._SystemIndex(frozenset(system))
-    images = list(matcher._embeddings(index, matcher._plan(fragment))[0])
+    images = list(matcher._embeddings(index, matcher._plan(fragment, matcher._types(fragment)))[0])
     if lessons is not None:
         known = len(lessons)
         matcher._search([fragment], index, len(fragment), lessons)
@@ -191,7 +194,8 @@ def test_plans_across_chunk_boundaries_find_every_image(steps):
     # A window of the generated search closes at 16 nodes, and an n-edge
     # chain binds n + 1 in n steps: these plans end on either side of a
     # window boundary.
-    structure = matcher._plan(tuple(sorted(_chain(steps))))[0]
+    fragment = tuple(sorted(_chain(steps)))
+    structure = matcher._plan(fragment, matcher._types(fragment))[0]
     assert len(structure) == steps
     assert sorted(slot for step in structure for slot in step[2:4] if slot) == list(
         range(1, steps + 2)
@@ -224,7 +228,8 @@ def test_plan_counts_a_self_loop_as_both_its_endpoints_bound():
     # Counted once, the loop would tie (a, c) on bound endpoints and lose.
     pattern = edges(("a", "b", 3), ("a", "c", 2), ("b", "b", 1), ("c", "a", 3))
     fragment = tuple(sorted(pattern))
-    assert [step[4] for step in matcher._plan(fragment)[0]] == [0, 2, 1, 3]
+    plan = matcher._plan(fragment, matcher._types(fragment))
+    assert [step[4] for step in plan[0]] == [0, 2, 1, 3]
 
 
 def test_images_stay_aligned_with_the_fragment_when_the_plan_reorders_it():
@@ -234,7 +239,7 @@ def test_images_stay_aligned_with_the_fragment_when_the_plan_reorders_it():
     # placed before it.
     pattern = edges(("a", "z", 3), ("b", "c", 3), ("c", "z", 3))
     fragment = tuple(sorted(pattern))
-    assert [step[4] for step in matcher._plan(fragment)[0]] == [1, 2, 0]
+    assert [step[4] for step in matcher._plan(fragment, matcher._types(fragment))[0]] == [1, 2, 0]
     assert matcher._canonical(fragment) == [0, 2, 1]
     system = edges(("x", "y", 3), ("u", "v", 3), ("v", "y", 3))
     aligned = tuple(make_edge(s, t, 3) for s, t in (("x", "y"), ("u", "v"), ("v", "y")))
@@ -249,7 +254,8 @@ def test_a_1000_step_plan_compiles_to_source_linear_in_its_steps():
     # Each node is compared with the nodes of its own window only, so the
     # source per step stays bounded as the plan grows.
     for steps in (40, 100, 300, 1000):
-        structure = matcher._plan(tuple(sorted(_chain(steps))))[0]
+        fragment = tuple(sorted(_chain(steps)))
+        structure = matcher._plan(fragment, matcher._types(fragment))[0]
         assert len(matcher._source(structure)) < 320 * steps
 
 
@@ -271,7 +277,8 @@ def test_a_3000_step_plan_compiles_and_learns_where_it_failed():
     [lesson] = lessons
     placed, checks = _lesson_edges(tuple(sorted(chain)), lesson)
     assert (len(placed), checks) == (2, 3) and is_weakly_connected(placed)
-    source = matcher._source(matcher._plan(tuple(sorted(_chain(5))))[0])
+    fragment = tuple(sorted(_chain(5)))
+    source = matcher._source(matcher._plan(fragment, matcher._types(fragment))[0])
     assert "f0" not in source and source.count(" := ") == 4
 
 
@@ -311,6 +318,30 @@ def test_a_failed_search_is_learned_across_a_chunk_boundary(monkeypatch):
     assert searched == [40, 20]
 
 
+def test_each_searched_fragment_reads_its_typed_incidence_once(monkeypatch):
+    # ``_search`` reads a fragment's typed incidence once for both its
+    # class key and its plan, so the only other reader is
+    # ``_pattern_facts``.  The fixtures' k4 descends to level 3, and chain8
+    # and star6 learn lessons, so every branch of ``_search`` runs.
+    calls = dict.fromkeys(("_types", "_pattern_facts", "_shape", "_plan"), 0)
+    for name in calls:
+        original = getattr(matcher, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(matcher, name, counting)
+    fixtures = Path(__file__).parent / "fixtures"
+    for fixture in ("dense", "descent"):
+        system = parse_model((fixtures / fixture / "model.cg").read_text(encoding="utf-8")).edges
+        catalog = load_catalog(fixtures / fixture / "patterns")
+        for name in catalog.names():
+            detect(system, catalog.get(name).edges, name)
+    assert calls["_plan"] > 0
+    assert calls["_types"] == calls["_pattern_facts"] + calls["_shape"]
+
+
 @pytest.mark.parametrize(
     "pattern, system",
     [
@@ -333,7 +364,7 @@ def test_type_checks_reject_every_root_and_learn_the_whole_fragment(pattern, sys
     # it states the whole fragment.  It is smaller than the fragment, so it
     # is learned; no 1-edge fragment contains it, so level 1 is searched.
     fragment = tuple(sorted(pattern))
-    first = fragment[matcher._plan(fragment)[0][0][4]]
+    first = fragment[matcher._plan(fragment, matcher._types(fragment))[0][0][4]]
     assert oracle_find_matches(system, [first], 1).rows
     lessons = []
     assert _images(pattern, system, lessons) == []
