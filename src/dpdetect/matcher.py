@@ -87,14 +87,15 @@ So each node a step binds is also checked, with one ``in`` test per
 table, to have every other type its pattern node has: the
 label-and-degree filter of subgraph matching (Sun and Luo, SIGMOD 2020),
 reduced to presence.  The plan's structure, the slots each step keys its
-lookup on, the slots it binds and the number of checks on each, is
-compiled into Python source, one generator expression with one ``for``
-clause per step, as in query compilation (Neumann, PVLDB 2011).  The
-tables are arguments, so fragments of one structure share one compiled
-search.  Bound nodes are local variables.  A generator expression
-may hold any number of ``for`` clauses and the mark is one name, so one
-expression serves a plan of any length.  The source holds only integers
-and names that ``_source`` makes, never text from a model or a catalog.
+lookup on, the slots it binds, the number of checks on each and the step
+of its twin, if any, is compiled into Python source, one generator
+expression with one ``for`` clause per step, as in query compilation
+(Neumann, PVLDB 2011).  The tables are arguments, so fragments of one
+structure share one compiled search.  Bound nodes are local variables.
+A generator expression may hold any number of ``for`` clauses and the
+mark is one name, so one expression serves a plan of any length.  The
+source holds only integers and names that ``_source`` makes, never text
+from a model or a catalog.
 
 The witness of a row does not depend on the search order.  The canonical
 order of a fragment places the first remaining edge in fragment order
@@ -102,17 +103,30 @@ that touches a placed node, or else the first remaining edge, and a
 row's witness is the image onto its edges that is least when read in
 that order.  Each step's candidates come from sorted buckets, so the
 search meets the images in lexicographic order when each is read in its
-plan's order.  ``_search`` keeps the lesser image when a key repeats,
-reading both in canonical order, which it works out once per fragment,
-at the first repeat.  Reading images in fragment order instead would
-pick other witnesses.  The search yields only each embedding's image,
-aligned with the fragment, and a row stores just that alignment.  Rows
-are keyed by the sorted ranks of their system edges, which the index
-numbers in sorted order: ranks are one-to-one and rise with the edges,
-so the keys tell edge sets apart and sort as the sorted edges would,
-while comparing ints.  A row's node mapping is read off the aligned
-edges on demand, in fragment order.  The JSON report sorts the keys
-once per row template and compiles its code once per layout.
+plan's order.  Reading images in fragment order instead would pick other
+witnesses.  The twin leaves of a fragment (``_twins``) are interchangeable
+there too: swapping two twins' images gives another embedding onto the
+same system edges.  So the plan gives the later step of each consecutive
+pair of a twin group one more test, that its image is above its twin's,
+and twin images rise in fragment order.  The canonical order reads the
+twins of a group in fragment order as well, so a row's least image has
+its twin images rising and is still found, while each choice of a star's
+leaves is placed once rather than in every order: a 7-leaf gen star
+against a 14-child hub yields C(14, 7) = 3,432 images, not 14!/7! =
+17,297,280, and takes about 0.02 s on a 2-CPU machine rather than 29 s.
+A key can then repeat only under some other automorphism of the
+fragment, so ``_search`` runs each search to its end, keys all of its
+images in one pass and files them at once.  Only when fewer keys were
+new than images came does it read them again in canonical order, which
+it works out then, to keep each key's least image.  The search yields
+only each embedding's image, aligned with the fragment, and a row stores
+just that alignment.  Rows are keyed by the sorted ranks of their system
+edges, which the index numbers in sorted order: ranks are one-to-one and
+rise with the edges, so the keys tell edge sets apart and sort as the
+sorted edges would, while comparing ints.  A row's node mapping is read
+off the aligned edges on demand, in fragment order.  The JSON report
+sorts the keys once per row template and compiles its code once per
+layout.
 
 There are two caches.  The system index, ranks included, is kept with
 the latest system edge set as one ``(system, index)`` pair, ``_kept``,
@@ -150,6 +164,7 @@ import functools
 from collections import defaultdict
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from enum import Enum
+from itertools import repeat
 from operator import itemgetter
 
 from .graph import EdgeTuple, _Record, is_weakly_connected
@@ -367,26 +382,19 @@ def _pattern_facts(pattern: frozenset[EdgeTuple]) -> tuple[
     edges.
 
     The first map lists each node's edges in sorted order, a self-loop
-    once.  Twin leaves are nodes with one edge, not a loop, of the same
-    type that hang off the same node, the hub, so swapping them maps the
-    pattern onto itself; a group is keyed on its hub and that type.  The
-    second map sends each edge of a twin group, in sorted order, to the
-    group's edge before it; the first edge of a group and every edge
-    outside one have no entry.  The third map holds each weakly connected
-    component, as a sorted tuple, under its edge count.
+    once.  The second map sends each edge of a twin group (see ``_twins``),
+    in sorted order, to the group's edge before it; the first edge of a
+    group and every edge outside one have no entry.  The third map holds
+    each weakly connected component, as a sorted tuple, under its edge
+    count.
     """
     edges = sorted(pattern)
     types = _types(edges)
-    incident: dict[str, list[EdgeTuple]] = {}
-    groups: defaultdict[tuple, list[EdgeTuple]] = defaultdict(list)
-    for node, codes in types.items():
-        incident[node] = around = sorted(edges[p] for held in codes.values() for p in held)
-        if len(around) == 1 and not around[0][3]:
-            (code,) = codes
-            groups[around[0][2 - code[2]], code].append(around[0])
-    # Nodes come in the order of their first edge, a leaf's only one, so
-    # each group is in sorted order.
-    twin_prev = {b: a for group in groups.values() for a, b in zip(group, group[1:])}
+    incident = {
+        node: sorted(edges[p] for held in codes.values() for p in held)
+        for node, codes in types.items()
+    }
+    twin_prev = {edges[b]: edges[a] for b, a in _twins(edges, types).items()}
     components: defaultdict[int, list[tuple[EdgeTuple, ...]]] = defaultdict(list)
     seen: set[str] = set()
     for start in incident:
@@ -511,7 +519,7 @@ def _levels(
             yield n, fragments
 
 
-_Step = tuple[int, int, int | None, int | None, int, int, int]
+_Step = tuple[int, int, int | None, int | None, int, int, int, int | None]
 _Code = tuple[int, int, int]
 _Plan = tuple[tuple[_Step, ...], tuple[_Code, ...]]
 _Search = tuple[Iterator[tuple[EdgeTuple, ...]], Callable[[], int]]
@@ -536,6 +544,24 @@ def _types(edges: Sequence[EdgeTuple]) -> defaultdict[str, dict[_Code, list[int]
         if not self_loop:
             types[target].setdefault((relation, self_loop, 2), []).append(position)
     return types
+
+
+def _twins(edges: Sequence[EdgeTuple], types: dict[str, dict[_Code, list[int]]]) -> dict[int, int]:
+    """The twin leaves of ``edges``, whose typed incidence is ``types``.
+
+    Twin leaves are nodes with one edge, not a loop, of the same type that
+    hang off the same node, the hub, so swapping them maps the edges onto
+    themselves; a group is keyed on its hub and that type.  Each position
+    of a twin group's edge maps to the position of the group's edge before
+    it; the first edge of a group and every edge outside one have no
+    entry.  Nodes come in the order of their first edge, a leaf's only
+    one, so each group is in the order of ``edges``."""
+    groups: defaultdict[tuple, list[int]] = defaultdict(list)
+    for codes in types.values():
+        for code, held in codes.items():
+            if len(codes) == len(held) == 1 and not code[1]:
+                groups[edges[held[0]][2 - code[2]], code] += held
+    return {b: a for group in groups.values() for a, b in zip(group, group[1:])}
 
 
 def _canonical(fragment: tuple[EdgeTuple, ...]) -> list[int]:
@@ -571,20 +597,27 @@ def _plan(fragment: Sequence[EdgeTuple], types: dict[str, dict[_Code, list[int]]
     so each step fixes in advance the key it looks up, the nodes it binds
     and the checks on them.  Node slots are numbered from 1 in the order
     they are bound.  A step of the structure is ``(source_key, target_key,
-    source_slot, target_slot, position, source_checks, target_checks)``:
-    ``*_key`` is the slot whose node goes into the lookup key, or 0 for an
-    endpoint not yet bound; ``*_slot`` is the slot the step binds, or None
-    when the endpoint is bound already; ``position`` is the edge's index in
-    ``fragment``; ``*_checks`` counts the checks on the node bound there,
-    one for each type that node has in the fragment other than the step's
-    own.  A self-loop binds its one slot as its source.  The codes are
-    each step's ``(relation, self_loop, kind)``, which names its table in
-    ``_SystemIndex`` (the kind is 1 if the step keys on its source plus 2
-    if it keys on its target), followed by each check's type in step
-    order, which names the table whose keys are the system nodes with an
-    edge of that type.  The structure alone fixes the generated search, so
-    fragments that differ only in their codes, such as paths of different
-    relations, share one compiled search.
+    source_slot, target_slot, position, source_checks, target_checks,
+    twin)``: ``*_key`` is the slot whose node goes into the lookup key, or
+    0 for an endpoint not yet bound; ``*_slot`` is the slot the step binds,
+    or None when the endpoint is bound already; ``position`` is the edge's
+    index in ``fragment``; ``*_checks`` counts the checks on the node bound
+    there, one for each type that node has in the fragment other than the
+    step's own; ``twin`` is the index of the step that places the edge
+    before this one in its twin group (see ``_twins``), or None.  Twins of
+    one group share their hub and type, and a leaf is bound by its own
+    step only, so their keys stay equal and they are placed in fragment
+    order: the step of the edge before always comes first, and the test
+    that ``_source`` writes from ``twin`` makes twin images rise in
+    fragment order.  A self-loop binds its one slot as its source.  The
+    codes are each step's ``(relation, self_loop, kind)``, which names its
+    table in ``_SystemIndex`` (the kind is 1 if the step keys on its
+    source plus 2 if it keys on its target), followed by each check's type
+    in step order, which names the table whose keys are the system nodes
+    with an edge of that type.  The structure alone, twin tests included,
+    fixes the generated search and keys ``_compiled``, so fragments that
+    differ only in their codes, such as paths of different relations,
+    share one compiled search.
     """
     # Each edge's key: [endpoints bound, distinct types at its endpoints].
     keys = [[0, len(types[source]) + len(types[target])] for source, target, _, _ in fragment]
@@ -593,11 +626,14 @@ def _plan(fragment: Sequence[EdgeTuple], types: dict[str, dict[_Code, list[int]]
     structure: list[_Step] = []
     codes: list[_Code] = []
     checks: list[_Code] = []
+    twins, at = _twins(fragment, types), {}
     while remaining:
         position = max(remaining, key=keys.__getitem__)
         remaining.remove(position)
+        at[position] = len(structure)
         source, target, relation, self_loop = fragment[position]
         step = [slots.get(source, 0), slots.get(target, 0), None, None, position, 0, 0]
+        step.append(at.get(twins.get(position)))
         for field, node in enumerate((source, target)):
             if node not in slots:
                 step[2 + field] = slots[node] = len(slots) + 1
@@ -626,10 +662,17 @@ def _source(structure: tuple[_Step, ...]) -> str:
     the step keys on, or both of its endpoints as ``n<a>, n<b>``.  Each
     node it binds is the local ``n<slot>``, bound by the clause ``for
     n<slot> in (e<i>[field],)``.  One ``if`` clause then skips the
-    candidate when a node it binds equals a node bound before it or is
-    missing from one of its check tables (``n<slot> in c<j>``), and
-    otherwise raises the mark ``d`` to ``i + 1`` unless it is past ``i``
-    already, with the test ``(d > i or (d := i + 1))``.  A step is reached
+    candidate when the step has a ``twin`` and its image is not above that
+    step's (``e<i> > e<twin>``), when a node it binds equals a node bound
+    before it, or when one is missing from one of its check tables
+    (``n<slot> in c<j>``), and otherwise raises the mark ``d`` to ``i + 1``
+    unless it is past ``i`` already, with the test ``(d > i or (d := i +
+    1))``.  The twin test keeps, of the images that differ only by swaps of
+    twin leaves' images, just the one whose twin images rise in fragment
+    order.  Such a swap gives another embedding onto the same system
+    edges, and the canonical order reads the twins of a group in fragment
+    order, so the row's least image, its witness, is the one kept (see
+    ``_search``).  A step is reached
     only from a placement of the step before it, so the steps that ever
     placed a candidate form a prefix of the plan, and the mark counts them.
     The last step has no test of the mark, because only the steps before
@@ -655,10 +698,11 @@ def _source(structure: tuple[_Step, ...]) -> str:
         f"for empty, ({tables}) in ((empty, tables),)",
     ]
     start, bound, check = 1, 0, 0  # the window's first slot, the last slot bound, the next check
-    for i, (source_key, target_key, source_slot, target_slot, _, *counts) in enumerate(structure):
+    for i, step in enumerate(structure):
+        source_key, target_key, source_slot, target_slot, _, *counts, twin = step
         key = ", ".join(f"n{slot}" for slot in (source_key, target_key) if slot) or "None"
         lines.append(f"for e{i} in t{i}.get(({key}), empty)")
-        tests = []
+        tests = [] if twin is None else [f"e{i} > e{twin}"]
         for field, (slot, count) in enumerate(zip((source_slot, target_slot), counts)):
             if slot:
                 lines.append(f"for n{slot} in (e{i}[{field}],)")
@@ -724,16 +768,35 @@ def _search(
     failed: list[_Plan],
 ) -> MatchTable:
     """The level-``n`` table of ``fragments``, the eligible fragments of a
-    level in canonical order, against the indexed system.  ``failed``
-    holds plans known to have no embedding into the system; a fragment
-    into which one of them embeds is not searched, and the failing prefix
-    of every fruitless search, a slice of its plan, is added to it.  Each fragment is planned once, when it is searched,
-    and only its plan is kept for the class and prefix tests, which read
-    nothing else.  Each row's witness is its fragment's least image onto
-    its edges when read in canonical order (see ``_canonical``), and rows
-    are keyed and ordered by their system edges' sorted ranks."""
+    level in canonical order, against the indexed system.
+
+    ``failed`` holds plans known to have no embedding into the system.  A
+    fragment is not searched when one of them, or the plan of an earlier
+    fragment of its class, embeds into it (see the comment below).  Each
+    fragment is planned once, when it is searched, and only its plan is
+    kept for these tests, which read nothing else.
+
+    Rows are keyed and ordered by their system edges' sorted ranks, and
+    each row's witness is its fragment's least image onto its edges when
+    read in canonical order (see ``_canonical``).  The search yields only
+    images whose twin leaves rise in fragment order (see ``_source``), and
+    that drops no witness.  Swapping two twins' images gives another
+    embedding onto the same edges, and in canonical order the twins of a
+    group come in fragment order, so a row's least image has its twin
+    images rising.  A key thus repeats only under some other automorphism
+    of the fragment.  So each search is run to its end, its images are
+    keyed in one pass and filed at once, and only when fewer keys were new
+    than images came are the images read again, in canonical order, to
+    keep each key's least one.
+
+    The failing prefix of every fruitless search, a slice of its plan, is
+    added to ``failed``.  The twin tests leave it sound: if it embedded
+    into a fragment that embeds into the system, swapping twin images in
+    the composed placement would make them rise, so the search would have
+    placed a candidate at the prefix's last step.
+    """
     found: dict[tuple[int, ...], MatchRow] = {}
-    rank = index.rank.__getitem__
+    ranks = functools.partial(map, index.rank.__getitem__)
     # A fragment is skipped when an earlier representative of the same
     # _shape, or a failed prefix P, embeds into its own index; otherwise it
     # becomes a representative and is searched.  This gives the table that
@@ -752,8 +815,8 @@ def _search(
     # The failing prefix of a fruitless search is its plan's first
     # placed + 1 steps with their checks, where placed is the search's mark,
     # the number of steps that ever placed a candidate: every injective
-    # placement of the first placed steps that passed its type checks was
-    # tried, and the next step placed nothing for any of them.  The codes
+    # placement of the first placed steps that passed its type and twin tests
+    # was tried, and the next step placed nothing for any of them.  The codes
     # list every step's code and then the checks in step order, so the
     # prefix's checks are one slice of them.  A prefix is kept when it is
     # smaller than its fragment, placed + 1 < n; a search that found an
@@ -770,14 +833,15 @@ def _search(
         structure, codes = plan = _plan(fragment, types)
         bucket.append(plan)
         images, placed = _embeddings(index, plan)
-        canonical = None  # reads an image in canonical order, set when a key first repeats
-        for image in images:
-            key = tuple(sorted(map(rank, image)))
-            kept = found.get(key)
-            if kept is not None and canonical is None:
-                canonical = itemgetter(*_canonical(fragment))
-            if kept is None or canonical(image) < canonical(kept.system_edges):
-                found[key] = MatchRow(fragment, image)
+        images = [*images]
+        keys = [*map(tuple, map(sorted, map(ranks, images)))]
+        size = len(found)
+        found.update(zip(keys, map(MatchRow, repeat(fragment), images)))
+        if len(found) - size < len(keys):
+            canonical = itemgetter(*_canonical(fragment))
+            for key, image in zip(keys, images):
+                if canonical(image) < canonical(found[key].system_edges):
+                    found[key] = MatchRow(fragment, image)
         if (cut := placed() + 1) < n:
             checks = sum(step[5] + step[6] for step in structure[:cut])
             failed.append((structure[:cut], codes[:cut] + codes[n : n + checks]))

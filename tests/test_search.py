@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import re
 import types
 from operator import itemgetter
 from pathlib import Path
@@ -283,11 +284,44 @@ def test_a_3000_step_plan_compiles_and_learns_where_it_failed():
 
 
 @pytest.mark.parametrize("leaves, hub", [(1, 1), (2, 4), (3, 3), (3, 5), (4, 6), (2, 1)])
-def test_star_images_are_the_ordered_leaf_choices(leaves, hub):
+def test_star_images_are_the_rising_leaf_choices(leaves, hub):
+    # The leaves are twins, so their images rise in fragment order: one
+    # image per choice of leaves, not one per ordering of them.
     star = edges(*((f"leaf{i}", "hub", 3) for i in range(leaves)))
     system = edges(*((f"x{i}", "h", 3) for i in range(hub)))
     images = _images(star, system)
-    assert len(images) == len(set(images)) == math.perm(hub, leaves)
+    assert len(images) == len(set(images)) == math.comb(hub, leaves)
+    for image in images:
+        sources = [edge.source for edge in image]
+        assert sources == sorted(set(sources))
+
+
+def test_a_7_leaf_star_against_a_14_child_hub_places_each_leaf_choice_once():
+    # Every ordering of the leaves would be 14!/7! = 17,297,280 images.
+    star = edges(*((f"leaf{i}", "hub", 3) for i in range(7)))
+    system = edges(*((f"x{i:02}", "h", 3) for i in range(14)))
+    fragment = tuple(sorted(star))
+    plan = matcher._plan(fragment, matcher._types(fragment))
+    images, _ = matcher._embeddings(matcher._SystemIndex(system), plan)
+    assert sum(1 for _ in images) == math.comb(14, 7) == 3432
+
+
+def test_each_consecutive_twin_pair_gets_one_rising_test():
+    # Three gen leaves into one hub, and two dep leaves out of another hub
+    # next to two assoc leaves into it: four consecutive twin pairs.  The
+    # later of each pair in plan order, which is also the later in
+    # fragment order, tests that its image is above its twin's.
+    specs = [("a1", "A", 3), ("a2", "A", 3), ("a3", "A", 3), ("B", "b1", 2), ("B", "b2", 2)]
+    specs += [("c1", "B", 1), ("c2", "B", 1)]
+    a1, a2, a3, b1, b2, c1, c2 = (make_edge(*spec) for spec in specs)
+    fragment = tuple(sorted({a1, a2, a3, b1, b2, c1, c2, make_edge("A", "B", 1)}))
+    structure = matcher._plan(fragment, matcher._types(fragment))[0]
+    tests = [(i, step[7]) for i, step in enumerate(structure) if step[7] is not None]
+    pairs = {(fragment[structure[j][4]], fragment[structure[i][4]]) for i, j in tests}
+    assert len(tests) == 4 and all(j < i for i, j in tests)
+    assert pairs == {(a1, a2), (a2, a3), (b1, b2), (c1, c2)}
+    found = re.findall(r"\be(\d+) > e(\d+)\b", matcher._source(structure))
+    assert sorted((int(i), int(j)) for i, j in found) == tests
 
 
 def test_a_failed_search_is_learned_across_a_chunk_boundary(monkeypatch):
