@@ -115,18 +115,18 @@ leaves is placed once rather than in every order: a 7-leaf gen star
 against a 14-child hub yields C(14, 7) = 3,432 images, not 14!/7! =
 17,297,280, and takes about 0.02 s on a 2-CPU machine rather than 29 s.
 A key can then repeat only under some other automorphism of the
-fragment, so ``_search`` runs each search to its end, keys all of its
-images in one pass and files them at once.  Only when fewer keys were
-new than images came does it read them again in canonical order, which
-it works out then, to keep each key's least image.  The search yields
-only each embedding's image, aligned with the fragment, and a row stores
-just that alignment.  Rows are keyed by the sorted ranks of their system
-edges, which the index numbers in sorted order: ranks are one-to-one and
-rise with the edges, so the keys tell edge sets apart and sort as the
-sorted edges would, while comparing ints.  A row's node mapping is read
-off the aligned edges on demand, in fragment order.  The JSON report
-sorts the keys once per row template and compiles its code once per
-layout.
+fragment.  When each node that shares its typed degrees with another is
+a leaf, there is none (``_one_image_per_key``), and ``_search`` keys all
+of the search's images in one pass and files them at once.  Otherwise it
+files each image as it comes and keeps each key's least image in
+canonical order.  The search yields only each embedding's image, aligned
+with the fragment, and a row stores just that alignment.  Rows are
+keyed by the sorted ranks of their system edges, which the index numbers
+in sorted order: ranks are one-to-one and rise with the edges, so the
+keys tell edge sets apart and sort as the sorted edges would, while
+comparing ints.  A row's node mapping is read off the aligned edges on
+demand, in fragment order.  The JSON report sorts the keys once per row
+template and compiles its code once per layout.
 
 There are two caches.  The system index, ranks included, is kept with
 the latest system edge set as one ``(system, index)`` pair, ``_kept``,
@@ -761,6 +761,26 @@ def _shape(types: dict[str, dict[_Code, list[int]]]) -> tuple:
     return len(types), tuple(sorted(map(tuple, counts)))
 
 
+def _one_image_per_key(shape: tuple) -> bool:
+    """Whether a fragment of ``shape``, its ``_shape``, has no automorphism
+    but swaps of twin leaves, so that its search yields at most one image
+    onto any set of system edges: each node that shares its sorted
+    ``(type, count)`` pairs with another node has one edge, not a loop.
+
+    An automorphism keeps each node's pairs, so it fixes every node whose
+    pairs are its own.  It sends a leaf to a leaf of the same type whose
+    one neighbor is the image of its own.  That neighbor is not a leaf,
+    unless the fragment is one edge, whose two ends differ in type, so it
+    is fixed, and the leaf goes to a twin.  The embeddings onto one set of
+    system edges are one embedding composed with each automorphism, and
+    of those that differ by twin swaps only the one with rising twin
+    images is yielded (see ``_source``).  Shapes that fail the test may
+    still have no other automorphism, such as a directed path's."""
+    profiles = shape[1]
+    shared = {a for a, b in zip(profiles, profiles[1:]) if a == b}
+    return all(len(a) == 1 and a[0][1] == 1 and not a[0][0][1] for a in shared)
+
+
 def _search(
     fragments: Iterable[tuple[EdgeTuple, ...]],
     index: _SystemIndex,
@@ -784,10 +804,12 @@ def _search(
     embedding onto the same edges, and in canonical order the twins of a
     group come in fragment order, so a row's least image has its twin
     images rising.  A key thus repeats only under some other automorphism
-    of the fragment.  So each search is run to its end, its images are
-    keyed in one pass and filed at once, and only when fewer keys were new
-    than images came are the images read again, in canonical order, to
-    keep each key's least one.
+    of the fragment.  When ``_one_image_per_key`` rules those out, every
+    image becomes a row, so the images are listed, keyed in one pass and
+    filed with one ``dict.update``; the two lists add two pointers per row.
+    Otherwise each image is filed as it comes and replaces its key's row
+    when it is less in canonical order, so however many images share a
+    key, memory stays bounded by the rows.
 
     The failing prefix of every fruitless search, a slice of its plan, is
     added to ``failed``.  The twin tests leave it sound: if it embedded
@@ -796,7 +818,7 @@ def _search(
     placed a candidate at the prefix's last step.
     """
     found: dict[tuple[int, ...], MatchRow] = {}
-    ranks = functools.partial(map, index.rank.__getitem__)
+    rank = index.rank.__getitem__
     # A fragment is skipped when an earlier representative of the same
     # _shape, or a failed prefix P, embeds into its own index; otherwise it
     # becomes a representative and is searched.  This gives the table that
@@ -825,7 +847,8 @@ def _search(
     representatives: dict[tuple, list[_Plan]] = {}
     for fragment in fragments:
         types = _types(fragment)
-        bucket = representatives.setdefault(_shape(types), [])
+        shape = _shape(types)
+        bucket = representatives.setdefault(shape, [])
         tests = bucket + failed
         own = _SystemIndex(fragment) if tests else None
         if any(next(_embeddings(own, plan)[0], None) for plan in tests):
@@ -833,14 +856,16 @@ def _search(
         structure, codes = plan = _plan(fragment, types)
         bucket.append(plan)
         images, placed = _embeddings(index, plan)
-        images = [*images]
-        keys = [*map(tuple, map(sorted, map(ranks, images)))]
-        size = len(found)
-        found.update(zip(keys, map(MatchRow, repeat(fragment), images)))
-        if len(found) - size < len(keys):
+        if _one_image_per_key(shape):
+            images = [*images]
+            keys = [*map(tuple, map(sorted, map(map, repeat(rank), images)))]
+            found.update(zip(keys, map(MatchRow, repeat(fragment), images)))
+        else:
             canonical = itemgetter(*_canonical(fragment))
-            for key, image in zip(keys, images):
-                if canonical(image) < canonical(found[key].system_edges):
+            for image in images:
+                key = tuple(sorted(map(rank, image)))
+                kept = found.get(key)
+                if kept is None or canonical(image) < canonical(kept.system_edges):
                     found[key] = MatchRow(fragment, image)
         if (cut := placed() + 1) < n:
             checks = sum(step[5] + step[6] for step in structure[:cut])

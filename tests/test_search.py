@@ -4,6 +4,7 @@ import gc
 import math
 import random
 import re
+import tracemalloc
 import types
 from operator import itemgetter
 from pathlib import Path
@@ -322,6 +323,57 @@ def test_each_consecutive_twin_pair_gets_one_rising_test():
     assert pairs == {(a1, a2), (a2, a3), (b1, b2), (c1, c2)}
     found = re.findall(r"\be(\d+) > e(\d+)\b", matcher._source(structure))
     assert sorted((int(i), int(j)) for i, j in found) == tests
+
+
+def test_one_image_per_key_means_the_fragment_has_one_rising_self_image():
+    # A fragment whose test holds has no automorphism but twin swaps, so
+    # its search against its own edges yields the identity alone.  Random
+    # connected fragments, half of them with a twin star hung on node p0.
+    rng, held = random.Random(3411), 0
+    for _ in range(600):
+        fragment = set(_connected_pattern(rng))
+        if rng.random() < 0.5:
+            star = _twin_star(rng)
+            fragment |= {make_edge(*("p0" if n == "hub" else n for n in e[:2]), e.relation) for e in star}
+        fragment = tuple(sorted(fragment))
+        types = matcher._types(fragment)
+        if matcher._one_image_per_key(matcher._shape(types)):
+            held += 1
+            plan = matcher._plan(fragment, types)
+            images = list(matcher._embeddings(matcher._SystemIndex(fragment), plan)[0])
+            assert images == [fragment]
+    assert held > 100
+    star = tuple(sorted(edges(*((f"leaf{i}", "hub", 3) for i in range(4)))))
+    paths = tuple(sorted(edges(("a", "hub", 3), ("b", "hub", 3), ("c", "a", 3), ("d", "b", 3))))
+    assert matcher._one_image_per_key(matcher._shape(matcher._types(star)))
+    assert not matcher._one_image_per_key(matcher._shape(matcher._types(paths)))
+
+
+def test_a_key_with_many_images_holds_one_row_at_a_time():
+    # Four gen 2-paths into a hub against ten: no two paths are twins, so
+    # 10!/6! = 5,040 images fall on 210 keys.  Filing them one at a time
+    # keeps the traced peak near the rows' size, not the images'.
+    branches = [(f"a{i}", "hub", 3) for i in range(4)] + [(f"b{i}", f"a{i}", 3) for i in range(4)]
+    fragment = tuple(sorted(edges(*branches)))
+    system = edges(*((f"x{i}", "h", 3) for i in range(10)), *((f"y{i}", f"x{i}", 3) for i in range(10)))
+    index = matcher._SystemIndex(system)
+    matcher._search([fragment], index, len(fragment), [])
+    tracemalloc.start()
+    try:
+        table = matcher._search([fragment], index, len(fragment), [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == math.comb(10, 4) == 210
+    assert peak < 1000 * len(table)
+    canonical = itemgetter(*matcher._canonical(fragment))
+    rows = {row.system_key(): canonical(row.system_edges) for row in table.rows}
+    images = matcher._embeddings(index, matcher._plan(fragment, matcher._types(fragment)))[0]
+    least = {}
+    for image in images:
+        key = tuple(sorted(image))
+        least[key] = min(least.get(key, canonical(image)), canonical(image))
+    assert rows == least
 
 
 def test_a_failed_search_is_learned_across_a_chunk_boundary(monkeypatch):
