@@ -454,25 +454,30 @@ def _symmetric_instance(rng):
     return frozenset(system), pattern
 
 
-def test_witness_is_the_least_image_in_canonical_order():
-    rng = random.Random(2020)
-    other_first = other_in_fragment_order = 0
-    for _ in range(300):
-        system, pattern = _symmetric_instance(rng)
-        for row in detect(system, pattern).table.rows:
-            fragment = row.pattern_edges
-            images = list(_images_onto(fragment, row.system_edges))
+def test_witness_is_the_least_image_in_canonical_order(monkeypatch):
+    # Filed in production chunks, and in chunks of 2, where a key's images
+    # fall in several chunks and an earlier chunk's row must be compared
+    # with the later ones.
+    for chunk in (matcher._CHUNK, 2):
+        monkeypatch.setattr(matcher, "_CHUNK", chunk)
+        rng = random.Random(2020)
+        other_first = other_in_fragment_order = 0
+        for _ in range(300):
+            system, pattern = _symmetric_instance(rng)
+            for row in detect(system, pattern).table.rows:
+                fragment = row.pattern_edges
+                images = list(_images_onto(fragment, row.system_edges))
 
-            def least(order):
-                return min(images, key=lambda image: [image[p] for p in order])
+                def least(order):
+                    return min(images, key=lambda image: [image[p] for p in order])
 
-            assert row.system_edges == least(_canonical_order(fragment))
-            # Rows whose witness is not the image the search meets first,
-            # nor the least image read in fragment order.
-            plan = [step[4] for step in matcher._plan(fragment, matcher._types(fragment))[0]]
-            other_first += least(plan) != row.system_edges
-            other_in_fragment_order += least(range(len(fragment))) != row.system_edges
-    assert other_first >= 20 and other_in_fragment_order >= 20
+                assert row.system_edges == least(_canonical_order(fragment)), chunk
+                # Rows whose witness is not the image the search meets
+                # first, nor the least image read in fragment order.
+                plan = [step[4] for step in matcher._plan(fragment, matcher._types(fragment))[0]]
+                other_first += least(plan) != row.system_edges
+                other_in_fragment_order += least(range(len(fragment))) != row.system_edges
+        assert other_first >= 20 and other_in_fragment_order >= 20
 
 
 # --- failed prefixes -------------------------------------------------------

@@ -192,7 +192,7 @@ def _cycle(length, name="y"):
 
 
 @pytest.mark.parametrize("steps", [15, 16, 17, 32, 33])
-def test_plans_across_chunk_boundaries_find_every_image(steps):
+def test_plans_across_window_boundaries_find_every_image(steps):
     # A window of the generated search closes at 16 nodes, and an n-edge
     # chain binds n + 1 in n steps: these plans end on either side of a
     # window boundary.
@@ -297,14 +297,22 @@ def test_star_images_are_the_rising_leaf_choices(leaves, hub):
         assert sources == sorted(set(sources))
 
 
-def test_a_7_leaf_star_against_a_14_child_hub_places_each_leaf_choice_once():
+def test_a_7_leaf_star_against_a_14_child_hub_places_each_leaf_choice_once(monkeypatch):
     # Every ordering of the leaves would be 14!/7! = 17,297,280 images.
     star = edges(*((f"leaf{i}", "hub", 3) for i in range(7)))
     system = edges(*((f"x{i:02}", "h", 3) for i in range(14)))
     fragment = tuple(sorted(star))
     plan = matcher._plan(fragment, matcher._types(fragment))
-    images, _ = matcher._embeddings(matcher._SystemIndex(system), plan)
+    index = matcher._SystemIndex(system)
+    images, _ = matcher._embeddings(index, plan)
     assert sum(1 for _ in images) == math.comb(14, 7) == 3432
+    # Each image is its own row, so no filing chunk meets a repeated key,
+    # and none of the 7 chunks builds a canonical reader.
+    assert math.ceil(3432 / matcher._CHUNK) == 7
+    calls, original = [], matcher._canonical
+    monkeypatch.setattr(matcher, "_canonical", lambda fragment: calls.append(1) or original(fragment))
+    assert len(matcher._search([fragment], index, 7, [])) == 3432
+    assert calls == []
 
 
 def test_each_consecutive_twin_pair_gets_one_rising_test():
@@ -325,34 +333,10 @@ def test_each_consecutive_twin_pair_gets_one_rising_test():
     assert sorted((int(i), int(j)) for i, j in found) == tests
 
 
-def test_one_image_per_key_means_the_fragment_has_one_rising_self_image():
-    # A fragment whose test holds has no automorphism but twin swaps, so
-    # its search against its own edges yields the identity alone.  Random
-    # connected fragments, half of them with a twin star hung on node p0.
-    rng, held = random.Random(3411), 0
-    for _ in range(600):
-        fragment = set(_connected_pattern(rng))
-        if rng.random() < 0.5:
-            star = _twin_star(rng)
-            fragment |= {make_edge(*("p0" if n == "hub" else n for n in e[:2]), e.relation) for e in star}
-        fragment = tuple(sorted(fragment))
-        types = matcher._types(fragment)
-        if matcher._one_image_per_key(matcher._shape(types)):
-            held += 1
-            plan = matcher._plan(fragment, types)
-            images = list(matcher._embeddings(matcher._SystemIndex(fragment), plan)[0])
-            assert images == [fragment]
-    assert held > 100
-    star = tuple(sorted(edges(*((f"leaf{i}", "hub", 3) for i in range(4)))))
-    paths = tuple(sorted(edges(("a", "hub", 3), ("b", "hub", 3), ("c", "a", 3), ("d", "b", 3))))
-    assert matcher._one_image_per_key(matcher._shape(matcher._types(star)))
-    assert not matcher._one_image_per_key(matcher._shape(matcher._types(paths)))
-
-
 def test_a_key_with_many_images_holds_one_row_at_a_time():
     # Four gen 2-paths into a hub against ten: no two paths are twins, so
-    # 10!/6! = 5,040 images fall on 210 keys.  Filing them one at a time
-    # keeps the traced peak near the rows' size, not the images'.
+    # 10!/6! = 5,040 images fall on 210 keys.  Filing them a chunk at a
+    # time keeps the traced peak near the rows' size, not the images'.
     branches = [(f"a{i}", "hub", 3) for i in range(4)] + [(f"b{i}", f"a{i}", 3) for i in range(4)]
     fragment = tuple(sorted(edges(*branches)))
     system = edges(*((f"x{i}", "h", 3) for i in range(10)), *((f"y{i}", f"x{i}", 3) for i in range(10)))
@@ -376,7 +360,7 @@ def test_a_key_with_many_images_holds_one_row_at_a_time():
     assert rows == least
 
 
-def test_a_failed_search_is_learned_across_a_chunk_boundary(monkeypatch):
+def test_a_failed_search_is_learned_across_a_window_boundary(monkeypatch):
     # Two disjoint 20-edge gen paths: the longest path has 20 edges, and 19
     # nodes of each have an in- and an out-edge.  The search places 18
     # steps, which bind 19 nodes that each need both, and step 19 places
