@@ -264,40 +264,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(message: str) -> int:
-    print(f"dpdetect: error: {message}", file=sys.stderr)
-    return EXIT_ERROR
+class _Failure(Exception):
+    """A model, a pattern or stdout that a command cannot use; ``main``
+    prints its message as the one error line and exits 1."""
 
 
-def _write(chunks: Iterable[str]) -> bool:
-    """Write ``chunks`` to stdout as they come and flush them, or report
-    one error line and return False when stdout cannot take them.  Python
-    sets ``sys.stdout`` to None when it starts with its descriptor closed,
-    and such a stdout takes nothing.
+def _write(chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to stdout as they come and flush them, or raise
+    ``_Failure`` when stdout cannot take them.  Python sets ``sys.stdout``
+    to None when it starts with its descriptor closed, and such a stdout
+    takes nothing.
 
     After a failed write, text may be left in stdout's buffer, and the
-    interpreter would fail to flush it again at exit and exit 120.  So a
-    stdout backed by a file descriptor is pointed at the null device, as
-    the Python ``signal`` docs advise for ``SIGPIPE``; a stdout without
-    one, such as an in-process caller's buffer, is left alone."""
+    interpreter would fail to flush it again at exit and exit 120.  So,
+    before raising, a stdout backed by a file descriptor is pointed at the
+    null device, as the Python ``signal`` docs advise for ``SIGPIPE``; a
+    stdout without one, such as an in-process caller's buffer, is left
+    alone."""
     if sys.stdout is None:
-        _fail("cannot write the report: stdout is closed")
-        return False
+        raise _Failure("cannot write the report: stdout is closed")
     try:
         for chunk in chunks:
             sys.stdout.write(chunk)
         sys.stdout.flush()
     except OSError as err:
-        _fail(f"cannot write the report: {err.strerror or err}")
         try:
             descriptor = sys.stdout.fileno()
         except (AttributeError, ValueError):
-            return False
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, descriptor)
-        os.close(devnull)
-        return False
-    return True
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, descriptor)
+            os.close(devnull)
+        raise _Failure(f"cannot write the report: {err.strerror or err}")
 
 
 def _resolve_catalog(argument: str | None) -> PatternCatalog:
@@ -309,15 +308,14 @@ def _resolve_catalog(argument: str | None) -> PatternCatalog:
     return load_catalog(argument)
 
 
-def _read_model(path_str: str) -> ClassGraph | None:
-    """The parsed model, or None after reporting why it could not be read."""
+def _read_model(path_str: str) -> ClassGraph:
+    """The parsed model; raises ``_Failure`` saying why it cannot be read."""
     try:
         return parse_model(Path(path_str).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as err:
-        _fail(f"cannot read model {path_str!r}: {err}")
+        raise _Failure(f"cannot read model {path_str!r}: {err}")
     except ModelSyntaxError as err:
-        _fail(f"{path_str}: {err}")
-    return None
+        raise _Failure(f"{path_str}: {err}")
 
 
 def _summary(report: DetectionReport) -> str:
@@ -334,61 +332,6 @@ def _reports_agree(ours: DetectionReport, reference: DetectionReport) -> bool:
     )
 
 
-def _detections(args: argparse.Namespace) -> tuple[ReportDocument, list[str]] | None:
-    """The document of every selected detection and the names of those
-    that failed ``--verify``, or None after reporting why the model, the
-    catalog or the pattern could not be had."""
-    model = _read_model(args.model)
-    if model is None:
-        return None
-    try:
-        catalog = _resolve_catalog(args.catalog)
-    except CatalogError as err:
-        _fail(str(err))
-        return None
-    if args.pattern is not None:
-        wanted = args.pattern.lower()
-        if catalog.get(wanted) is None:
-            _fail(
-                f"unknown pattern {args.pattern!r}; available: {', '.join(catalog.names())}"
-            )
-            return None
-        selected = [wanted]
-    else:
-        selected = catalog.names()
-
-    results, failed = [], []
-    for name in selected:
-        pattern_graph = catalog.get(name)
-        report = detect(model.edges, pattern_graph.edges, pattern_name=name)
-        results.append(report)
-        if args.verify:
-            try:
-                check_table(report.table, model.edges, pattern_graph.edges)
-            except ValueError as err:
-                failed.append(name)
-                print(f"dpdetect: verify: invalid rows for {name!r}: {err}", file=sys.stderr)
-            try:
-                reference = oracle_detect(model.edges, pattern_graph.edges, pattern_name=name)
-            except OracleSizeError as err:
-                print(f"dpdetect: verify: reference skipped for {name!r}: {err}", file=sys.stderr)
-            else:
-                if not _reports_agree(report, reference):
-                    failed.append(name)
-                    print(
-                        f"dpdetect: verify: mismatch for {name!r}: detector "
-                        f"{_summary(report)} vs reference {_summary(reference)}",
-                        file=sys.stderr,
-                    )
-
-    document = ReportDocument(
-        model_name=model.name,
-        results=tuple(results),
-        catalog_names=tuple(catalog.names()),
-    )
-    return document, failed
-
-
 def cmd_detect(args: argparse.Namespace) -> int:
     # The edges, rows and images that parsing and detection build are tuple
     # subclasses and slotted records, which the cyclic collector tracks and
@@ -400,11 +343,44 @@ def cmd_detect(args: argparse.Namespace) -> int:
     # generation, so the render's first allocation does not walk them all,
     # and the collection, over empty generations, still empties the free
     # lists, so the tuples parked there are not kept as peak memory.  A
-    # caller's own frozen objects are left frozen.
+    # caller's own frozen objects are left frozen.  A failure raises past
+    # the collection, and the ``finally`` still restores the caller's setting.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        found = _detections(args)
+        model = _read_model(args.model)
+        catalog = _resolve_catalog(args.catalog)
+        if args.pattern is not None and catalog.get(args.pattern.lower()) is None:
+            raise _Failure(
+                f"unknown pattern {args.pattern!r}; available: {', '.join(catalog.names())}"
+            )
+        selected = catalog.names() if args.pattern is None else [args.pattern.lower()]
+        results, failed = [], []
+        for name in selected:
+            pattern_graph = catalog.get(name)
+            report = detect(model.edges, pattern_graph.edges, pattern_name=name)
+            results.append(report)
+            if args.verify:
+                try:
+                    check_table(report.table, model.edges, pattern_graph.edges)
+                except ValueError as err:
+                    failed.append(name)
+                    print(f"dpdetect: verify: invalid rows for {name!r}: {err}", file=sys.stderr)
+                try:
+                    reference = oracle_detect(model.edges, pattern_graph.edges, pattern_name=name)
+                except OracleSizeError as err:
+                    print(
+                        f"dpdetect: verify: reference skipped for {name!r}: {err}", file=sys.stderr
+                    )
+                else:
+                    if not _reports_agree(report, reference):
+                        failed.append(name)
+                        print(
+                            f"dpdetect: verify: mismatch for {name!r}: detector "
+                            f"{_summary(report)} vs reference {_summary(reference)}",
+                            file=sys.stderr,
+                        )
+        document = ReportDocument(model.name, tuple(results), tuple(catalog.names()))
         if not gc.get_freeze_count():
             gc.freeze()
             gc.collect()
@@ -412,19 +388,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
     finally:
         if enabled:
             gc.enable()
-    if found is None:
-        return EXIT_ERROR
-    document, failed = found
-    if not _write(_json_chunks(document) if args.format == "json" else [render_text(document)]):
-        return EXIT_ERROR
+    _write(_json_chunks(document) if args.format == "json" else [render_text(document)])
     return EXIT_VERIFY_MISMATCH if failed else EXIT_OK
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    try:
-        catalog = _resolve_catalog(args.catalog)
-    except CatalogError as err:
-        return _fail(str(err))
+    catalog = _resolve_catalog(args.catalog)
     names = catalog.names()
     width = max(len(name) for name in names)
     lines = []
@@ -433,13 +402,12 @@ def cmd_list(args: argparse.Namespace) -> int:
         origin = "user" if catalog.is_user_defined(name) else "builtin"
         counts = f"nodes={len(graph.nodes)} edges={len(graph.edges)}"
         lines.append(f"{name:<{width}}  {counts} [{origin}]")
-    return EXIT_OK if _write(["\n".join(lines) + "\n"]) else EXIT_ERROR
+    _write(["\n".join(lines) + "\n"])
+    return EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     graph = _read_model(args.model)
-    if graph is None:
-        return EXIT_ERROR
     counts = Counter(edge.relation for edge in graph.edges)
     assoc, dep, gen = (counts[kind] for kind in RelationKind)
     lines = [f"model: {graph.name}"] if graph.name else []
@@ -449,7 +417,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"self-loops: {sum(edge.self_loop for edge in graph.edges)}",
         "valid",
     ]
-    return EXIT_OK if _write(["\n".join(lines) + "\n"]) else EXIT_ERROR
+    _write(["\n".join(lines) + "\n"])
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -458,6 +427,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.error("a command is required")
-    except SystemExit as exc:
+        return {"detect": cmd_detect, "list": cmd_list, "validate": cmd_validate}[args.command](args)
+    except SystemExit as exc:  # usage errors, --help, --version
         return exc.code
-    return {"detect": cmd_detect, "list": cmd_list, "validate": cmd_validate}[args.command](args)
+    except (CatalogError, _Failure) as err:
+        print(f"dpdetect: error: {err}", file=sys.stderr)
+        return EXIT_ERROR

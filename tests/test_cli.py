@@ -841,6 +841,39 @@ def test_bad_catalog_path_exits_one(capsys, sample_system_path, tmp_path):
     assert "not found" in err
 
 
+BUILTIN_NAMES = "composite, facade, prototype, singleton"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["detect", "missing.cg"], "cannot read model 'missing.cg': "
+         "[Errno 2] No such file or directory: 'missing.cg'"),
+        (["validate", "missing.cg"], "cannot read model 'missing.cg': "
+         "[Errno 2] No such file or directory: 'missing.cg'"),
+        (["detect", "bad.cg"], "bad.cg: line 1: 'assoc' expects 2 operand(s), got 1"),
+        (["validate", "bad.cg"], "bad.cg: line 1: 'assoc' expects 2 operand(s), got 1"),
+        (["detect", "{model}", "--catalog", "nope"], "catalog path not found: nope"),
+        (["list", "--catalog", "nope"], "catalog path not found: nope"),
+        (["detect", "{model}", "--catalog", ""], "catalog path is empty"),
+        (["list", "--catalog", ""], "catalog path is empty"),
+        (["detect", "{model}", "--pattern", "observer"],
+         f"unknown pattern 'observer'; available: {BUILTIN_NAMES}"),
+        (["detect", "{model}", "--pattern", ""], f"unknown pattern ''; available: {BUILTIN_NAMES}"),
+    ],
+    ids=["detect-missing-model", "validate-missing-model", "detect-model-syntax",
+         "validate-model-syntax", "detect-catalog-not-found", "list-catalog-not-found",
+         "detect-empty-catalog", "list-empty-catalog", "unknown-pattern", "empty-pattern"],
+)
+def test_every_input_failure_is_one_exact_error_line(
+    capsys, monkeypatch, tmp_path, sample_system_path, argv, line
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cg").write_text("assoc a\n", encoding="utf-8")
+    argv = [arg.format(model=sample_system_path) for arg in argv]
+    assert run(capsys, *argv) == (1, "", f"dpdetect: error: {line}\n")
+
+
 def test_verify_agreement_exits_zero(capsys, sample_system_path):
     code, out, err = run(capsys, "detect", str(sample_system_path), "--verify")
     assert code == 0
